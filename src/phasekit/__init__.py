@@ -7,7 +7,7 @@ inverse problem), including enumeration of the distinct models that
 explain the same data equally well.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .direct import (
     PhaseTypeParams,
@@ -25,12 +25,10 @@ from .errors import (
     DegenerateSpectrum,
     DomainViolation,
     GenericBranchMiss,
-    IllConditioned,
     InvalidDensity,
     M3HypersurfaceMiss,
     NegativeDiscriminant,
     NoBranchMatches,
-    NoConvergence,
     NonErgodic,
     PhasekitError,
     SingularSteadyState,

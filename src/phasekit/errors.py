@@ -6,7 +6,7 @@ class PhasekitError(Exception):
 
 
 class WrongArity(PhasekitError):
-    """Rate vector length does not match the model."""
+    """Rate or moment vector length does not match the model."""
 
 
 class NonErgodic(PhasekitError):
@@ -19,18 +19,6 @@ class DegenerateSpectrum(PhasekitError):
     def __init__(self, message, pair=None):
         super().__init__(message)
         self.pair = pair
-
-
-class IllConditioned(PhasekitError):
-    """Linear system condition number beyond the trusted range."""
-
-
-class NoConvergence(PhasekitError):
-    """Optimizer did not converge; best-so-far result attached."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
 
 
 class InvalidDensity(PhasekitError):

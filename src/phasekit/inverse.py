@@ -16,6 +16,7 @@ residual, not the solver algebra, is the acceptance oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ from mpmath import mp
 from . import direct, models, simple_systems
 from .direct import PhaseTypeParams, SymmetricMoments
 from .errors import (GenericBranchMiss, M3HypersurfaceMiss,
-                     NegativeDiscriminant, ZeroPivot)
+                     NegativeDiscriminant, WrongArity, ZeroPivot)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_K3_GRID = (0.1, 1.0, 10.0)
@@ -188,40 +189,134 @@ def _make_solution(model, rates, branch, m, free=(), polish=True):
                            free_params=tuple(free))
 
 
-def _discriminant(L1, L3, S1, S2):
-    return (L1 * S1) ** 2 - 2.0 * L1 * S1 * S2 - 4.0 * L3 * S1 + S2 ** 2
+def _nonzero(what, value, terms):
+    """Inequation ``value != 0``, failed where ``value`` lies within the
+    rounding band of its terms, which keeps the test meaningful when the
+    moments span many decades."""
+    return (GenericBranchMiss, f"{what} != 0", value,
+            np.abs(value) <= _ROUNDING_BAND * terms)
 
 
-def _disc_terms(L1, L3, S1, S2):
-    return ((L1 * S1) ** 2 + 2.0 * abs(L1 * S1 * S2)
-            + 4.0 * abs(L3 * S1) + S2 ** 2)
+def _holds(checks):
+    """Mask of the inputs on which none of ``checks`` failed."""
+    return ~np.logical_or.reduce([failed for *_, failed in checks])
 
 
-def _quadratic_roots(L1, L3, S1, S2):
-    disc = _discriminant(L1, L3, S1, S2)
-    band = _ROUNDING_BAND * _disc_terms(L1, L3, S1, S2)
-    if abs(disc) <= band:
-        raise GenericBranchMiss("discriminant inside the degenerate band")
-    if disc < 0.0:
-        raise NegativeDiscriminant(
-            f"discriminant {disc:.3e} < 0; complex quadratic branch")
-    root = np.sqrt(disc)
-    return [-(L1 * S1 - S2 + root) / (2.0 * S1),
-            -(L1 * S1 - S2 - root) / (2.0 * S1)]
+def _raise_first_failure(checks):
+    for error, what, value, failed in checks:
+        if np.any(failed):
+            raise error(f"generic branch requires {what}, "
+                        f"got {np.ravel(value)[0]:.3e}")
 
 
-def _require_relative(**named):
-    """Nonzero checks scaled by each polynomial's own term magnitudes.
+def _three_state(m: SymmetricMoments):
+    """(L1, L2, L3, S1, S2), each a float or an array over a batch."""
+    if len(m.L) != 3 or len(m.S) != 2:
+        raise WrongArity("three-state inverse formulas need 3 exponential "
+                         f"components, got {len(m.L)}")
+    return (*m.L, *m.S)
 
-    ``named`` maps a label to (value, sum of absolute term values); a
-    value is rejected only when it lies within the rounding band of its
-    terms, which keeps the test meaningful when the moments span many
-    decades.
+
+def _family_condition(L1, L2, L3, S1, S2):
+    """G, which vanishes on the M3 hypersurface, and the sum of the
+    absolute values of its terms."""
+    G = L1 * S1 * S2 - L2 * S1 ** 2 + L3 * S1 - S2 ** 2
+    terms = (np.abs(L1 * S1 * S2) + np.abs(L2) * S1 ** 2
+             + np.abs(L3 * S1) + S2 ** 2)
+    return G, terms
+
+
+def generic_branches(tag: str, m: SymmetricMoments):
+    """Closed forms of the generic branch of M2, M4, M8 or M9.
+
+    ``m.L`` and ``m.S`` hold a batch of inputs along their second axis.
+    Returns ``(branches, checks)``: ``branches`` has one ``(rates, ok)``
+    pair per branch (one for M2, one per quadratic root otherwise), the
+    rates k1..k5 and the mask of the inputs on which every inequation of
+    that branch holds; elsewhere the rates may be inf or nan.  ``checks``
+    lists the inequations in the order invert_generic tests them, as
+    (error type, condition, value, failed mask).
     """
-    for name, (value, terms) in named.items():
-        if abs(value) <= _ROUNDING_BAND * terms:
-            raise GenericBranchMiss(
-                f"generic branch requires {name} != 0, got {value:.3e}")
+    L1, L2, L3, S1, S2 = _three_state(m)
+    G, G_terms = _family_condition(L1, L2, L3, S1, S2)
+    s1_cubed = S1 ** 3 - S1 * S2
+    # Inequations that M2 and M4 share
+    shared_24 = [_nonzero("S1^3 - S1 S2", s1_cubed,
+                          np.abs(S1) ** 3 + np.abs(S1 * S2)),
+                 _nonzero("S2", S2, S1 ** 2 + np.abs(L2))]
+    k5 = -S1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # k2 and k4 of M2 and of M4
+        k2_24 = G / s1_cubed
+        k4_24 = (S1 ** 2 - S2) / S1
+        if tag == "M2":
+            num = (L1 ** 2 * S1 ** 3 * S2 + L2 ** 2 * S1 ** 3 + S1 * S2 ** 3
+                   + L3 ** 2 * S1
+                   + (-2.0 * S1 ** 2 * S2 ** 2
+                      + (-S1 ** 4 - S1 ** 2 * S2) * L2
+                      + (S1 ** 3 + S1 * S2) * L3) * L1
+                   + (S1 ** 3 * S2 - 2.0 * L3 * S1 ** 2 + S1 * S2 ** 2) * L2
+                   + (S1 ** 4 - 3.0 * S1 ** 2 * S2) * L3)
+            den = (-S1 ** 2 * S2 ** 2 + S2 ** 3
+                   + (S1 ** 3 * S2 - S1 * S2 ** 2) * L1
+                   + (-S1 ** 4 + S1 ** 2 * S2) * L2
+                   + (S1 ** 3 - S1 * S2) * L3)
+            den_terms = (S1 ** 2 * S2 ** 2 + np.abs(S2) ** 3
+                         + np.abs(S1 ** 3 * S2 * L1)
+                         + np.abs(S1 * S2 ** 2 * L1)
+                         + S1 ** 4 * np.abs(L2) + S1 ** 2 * np.abs(S2 * L2)
+                         + np.abs(S1 ** 3 * L3) + np.abs(S1 * S2 * L3))
+            checks = [_nonzero("G", G, G_terms), *shared_24,
+                      _nonzero("the k1 pivot", den, den_terms)]
+            rates = (-num / den, k2_24, (S1 ** 2 - S2) * L3 / G, k4_24, k5)
+            return [(rates, _holds(checks))], checks
+
+        checks = [_nonzero("L3", L3, np.abs(L1 * L2))]
+        if tag == "M4":
+            checks += [*shared_24, _nonzero("S1^2 - S2", S1 ** 2 - S2,
+                                            S1 ** 2 + np.abs(S2))]
+        elif tag in ("M8", "M9"):
+            checks += [_nonzero("S1", S1, np.abs(L1))]
+        else:
+            raise ValueError(f"no generic inverse formulas for model {tag}")
+        disc = (L1 * S1) ** 2 - 2.0 * L1 * S1 * S2 - 4.0 * L3 * S1 + S2 ** 2
+        disc_terms = ((L1 * S1) ** 2 + 2.0 * np.abs(L1 * S1 * S2)
+                      + 4.0 * np.abs(L3 * S1) + S2 ** 2)
+        checks += [
+            (GenericBranchMiss, "a discriminant outside the degenerate band",
+             disc, np.abs(disc) <= _ROUNDING_BAND * disc_terms),
+            (NegativeDiscriminant, "a real quadratic branch, discriminant > 0",
+             disc, disc < 0.0)]
+        root = np.sqrt(disc)
+        quads = [-(L1 * S1 - S2 + root) / (2.0 * S1),
+                 -(L1 * S1 - S2 - root) / (2.0 * S1)]
+
+        # The quadratic gives k3 of M4 and k2 of M8 and M9.
+        branches, pivots = [], []
+        for j, q in enumerate(quads):
+            own = []
+            if tag == "M4":
+                k1 = (-L1 * S1 ** 2 + L2 * S1 + S1 * S2
+                      - (S1 ** 2 - S2) * q - L3) / (S1 ** 2 - S2)
+                rates = (k1, k2_24, q, k4_24, k5)
+            elif tag == "M8":
+                k3 = -(-S1 ** 3 * q + L1 * S1 * S2 - L2 * S1 ** 2
+                       + S1 * S2 * q + L3 * S1 - S2 ** 2) / (q * S1 ** 2)
+                rates = (L3 / (S1 * q), q, k3, G / (q * S1 ** 2), k5)
+            else:
+                pivot = 2.0 * q * S1 + L1 * S1 - S2
+                own = [_nonzero(f"the k4 pivot of root {j}", pivot,
+                                2.0 * np.abs(q * S1) + np.abs(L1 * S1)
+                                + np.abs(S2))]
+                k1 = -(q * S1 + L1 * S1 - S2) / S1
+                k3 = -(-S1 ** 3 * q + L1 * S1 * S2 - L2 * S1 ** 2
+                       + S1 * S2 * q + L3 * S1 - S2 ** 2) / (S1 * pivot)
+                k4 = (L1 * S1 ** 2 + S1 ** 2 * q - L2 * S1 - S1 * S2
+                      - S2 * q + L3) / pivot
+                rates = (k1, q, k3, k4, k5)
+            pivots += own
+            branches.append((rates, _holds(checks + own)))
+        return branches, checks + pivots
 
 
 def invert_generic(model: models.ModelId, m: SymmetricMoments,
@@ -239,123 +334,43 @@ def invert_generic(model: models.ModelId, m: SymmetricMoments,
     only that test, measured against its polynomial's term sizes, for
     inputs estimated from finite data.
     """
-    L1, L2, L3 = m.L
-    S1, S2 = m.S
-    band = tol * _moment_scale(m)
-    G = L1 * S1 * S2 - L2 * S1 ** 2 + L3 * S1 - S2 ** 2
+    if model != models.M3:
+        # As a batch of one: numpy's scalar powers can differ in the last
+        # bit from its array loops, which the experiment's batches take.
+        batch = SymmetricMoments(L=m.L[:, None], S=m.S[:, None])
+        branches, checks = generic_branches(model.tag, batch)
+        _raise_first_failure(checks)
+        return [_make_solution(model, np.ravel(rates),
+                               "generic" if len(branches) == 1
+                               else f"generic/root{j}", m)
+                for j, (rates, _) in enumerate(branches)]
+
+    L1, L2, L3, S1, S2 = _three_state(m)
+    G, G_terms = _family_condition(L1, L2, L3, S1, S2)
+    hs_band = tol * _moment_scale(m)
+    if hypersurface_tol is not None:
+        hs_band = hypersurface_tol * (1.0 + G_terms)
+    if abs(G) > hs_band:
+        raise M3HypersurfaceMiss(
+            f"family condition |{G:.3e}| > {hs_band:.3e}; moments are "
+            "off the solvability hypersurface")
+    _raise_first_failure([_nonzero("S1", S1, abs(L1)),
+                          _nonzero("S2", S2, S1 ** 2 + abs(L2))])
+    k4 = (S1 ** 2 - S2) / S1
     k5 = -S1
-
-    G_terms = (abs(L1 * S1 * S2) + abs(L2) * S1 ** 2
-               + abs(L3 * S1) + S2 ** 2)
-
-    if model == models.M2:
-        _require_relative(
-            G=(G, G_terms),
-            S1_cubed_term=(S1 ** 3 - S1 * S2,
-                           abs(S1) ** 3 + abs(S1 * S2)),
-            S2=(S2, S1 ** 2 + abs(L2)),
-        )
-        k4 = (S1 ** 2 - S2) / S1
-        k2 = G / (S1 ** 3 - S1 * S2)
-        k3 = (S1 ** 2 - S2) * L3 / G
-        num = (L1 ** 2 * S1 ** 3 * S2 + L2 ** 2 * S1 ** 3 + S1 * S2 ** 3
-               + L3 ** 2 * S1
-               + (-2.0 * S1 ** 2 * S2 ** 2
-                  + (-S1 ** 4 - S1 ** 2 * S2) * L2
-                  + (S1 ** 3 + S1 * S2) * L3) * L1
-               + (S1 ** 3 * S2 - 2.0 * L3 * S1 ** 2 + S1 * S2 ** 2) * L2
-               + (S1 ** 4 - 3.0 * S1 ** 2 * S2) * L3)
-        den = (-S1 ** 2 * S2 ** 2 + S2 ** 3
-               + (S1 ** 3 * S2 - S1 * S2 ** 2) * L1
-               + (-S1 ** 4 + S1 ** 2 * S2) * L2
-               + (S1 ** 3 - S1 * S2) * L3)
-        den_terms = (S1 ** 2 * S2 ** 2 + abs(S2) ** 3
-                     + abs(S1 ** 3 * S2 * L1) + abs(S1 * S2 ** 2 * L1)
-                     + S1 ** 4 * abs(L2) + S1 ** 2 * abs(S2 * L2)
-                     + abs(S1 ** 3 * L3) + abs(S1 * S2 * L3))
-        if abs(den) <= _ROUNDING_BAND * den_terms:
-            raise GenericBranchMiss("vanishing pivot in the k1 formula")
-        k1 = -num / den
-        return [_make_solution(model, (k1, k2, k3, k4, k5), "generic", m)]
-
-    if model == models.M3:
-        hs_band = band
-        if hypersurface_tol is not None:
-            terms = (abs(L1 * S1 * S2) + abs(L2 * S1 ** 2)
-                     + abs(L3 * S1) + S2 ** 2)
-            hs_band = hypersurface_tol * (1.0 + terms)
-        if abs(G) > hs_band:
-            raise M3HypersurfaceMiss(
-                f"family condition |{G:.3e}| > {hs_band:.3e}; moments are "
-                "off the solvability hypersurface")
-        _require_relative(S1=(S1, abs(L1)), S2=(S2, S1 ** 2 + abs(L2)))
-        k4 = (S1 ** 2 - S2) / S1
-        out = []
-        for k3 in k3_grid:
-            k2 = L3 / (k3 * S1)
-            k1 = -(k3 ** 2 * S1 * S2 + L3 * S2
-                   + (L2 * S1 ** 2 - L3 * S1) * k3) / (k3 * S1 * S2)
-            out.append(_make_solution(model, (k1, k2, k3, k4, k5),
-                                      "family", m, free=(("k3", k3),)))
-        return out
-
-    if model == models.M4:
-        _require_relative(
-            L3=(L3, abs(L1 * L2)),
-            S1_cubed_term=(S1 ** 3 - S1 * S2,
-                           abs(S1) ** 3 + abs(S1 * S2)),
-            S2=(S2, S1 ** 2 + abs(L2)),
-            S1_sq_term=(S1 ** 2 - S2, S1 ** 2 + abs(S2)),
-        )
-        k4 = (S1 ** 2 - S2) / S1
-        k2 = G / (S1 ** 3 - S1 * S2)
-        out = []
-        for j, k3 in enumerate(_quadratic_roots(L1, L3, S1, S2)):
-            k1 = (-L1 * S1 ** 2 + L2 * S1 + S1 * S2
-                  - (S1 ** 2 - S2) * k3 - L3) / (S1 ** 2 - S2)
-            out.append(_make_solution(model, (k1, k2, k3, k4, k5),
-                                      f"generic/root{j}", m))
-        return out
-
-    if model == models.M8:
-        _require_relative(L3=(L3, abs(L1 * L2)), S1=(S1, abs(L1)))
-        out = []
-        for j, k2 in enumerate(_quadratic_roots(L1, L3, S1, S2)):
-            k4 = G / (k2 * S1 ** 2)
-            k3 = -(-S1 ** 3 * k2 + L1 * S1 * S2 - L2 * S1 ** 2
-                   + S1 * S2 * k2 + L3 * S1 - S2 ** 2) / (k2 * S1 ** 2)
-            k1 = L3 / (S1 * k2)
-            out.append(_make_solution(model, (k1, k2, k3, k4, k5),
-                                      f"generic/root{j}", m))
-        return out
-
-    if model == models.M9:
-        _require_relative(L3=(L3, abs(L1 * L2)), S1=(S1, abs(L1)))
-        out = []
-        for j, k2 in enumerate(_quadratic_roots(L1, L3, S1, S2)):
-            pivot = 2.0 * k2 * S1 + L1 * S1 - S2
-            pivot_terms = 2.0 * abs(k2 * S1) + abs(L1 * S1) + abs(S2)
-            if abs(pivot) <= _ROUNDING_BAND * pivot_terms:
-                raise GenericBranchMiss("vanishing pivot in the k4 formula")
-            k4 = (L1 * S1 ** 2 + S1 ** 2 * k2 - L2 * S1 - S1 * S2
-                  - S2 * k2 + L3) / pivot
-            k1 = -(k2 * S1 + L1 * S1 - S2) / S1
-            k3 = -(-S1 ** 3 * k2 + L1 * S1 * S2 - L2 * S1 ** 2
-                   + S1 * S2 * k2 + L3 * S1 - S2 ** 2) / (S1 * pivot)
-            out.append(_make_solution(model, (k1, k2, k3, k4, k5),
-                                      f"generic/root{j}", m))
-        return out
-
-    raise ValueError(f"no generic inverse formulas for model {model}")
+    out = []
+    for k3 in k3_grid:
+        k2 = L3 / (k3 * S1)
+        k1 = -(k3 ** 2 * S1 * S2 + L3 * S2
+               + (L2 * S1 ** 2 - L3 * S1) * k3) / (k3 * S1 * S2)
+        out.append(_make_solution(model, (k1, k2, k3, k4, k5),
+                                  "family", m, free=(("k3", k3),)))
+    return out
 
 
-_SYSTEM_CACHE: dict[str, simple_systems.ModelSystems] = {}
-
-
-def _systems_for(model: models.ModelId) -> simple_systems.ModelSystems:
-    if model.tag not in _SYSTEM_CACHE:
-        _SYSTEM_CACHE[model.tag] = simple_systems.load_systems(model.tag)
-    return _SYSTEM_CACHE[model.tag]
+@functools.lru_cache(maxsize=None)
+def _systems_for(tag: str) -> simple_systems.ModelSystems:
+    return simple_systems.load_systems(tag)
 
 
 def invert_thomas(model: models.ModelId, m: SymmetricMoments,
@@ -367,7 +382,7 @@ def invert_thomas(model: models.ModelId, m: SymmetricMoments,
     formulas reject.  Raises NoBranchMatches when no stratum accepts
     the input within tolerance.
     """
-    ms = _systems_for(model)
+    ms = _systems_for(model.tag)
     branch_sols = simple_systems.solve_for_moments(ms, m.as_vector(),
                                                    tol=tol,
                                                    free_grid=free_grid)

@@ -10,14 +10,11 @@ markers discriminate between variants fitted to random survival data.
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import direct, inverse, models
+from . import inverse, models
 from .direct import PhaseTypeParams, SymmetricMoments
 from .errors import (DomainViolation, GenericBranchMiss, M3HypersurfaceMiss,
                      NegativeDiscriminant, NoBranchMatches,
@@ -58,8 +55,9 @@ def markers(model: models.ModelId, rates) -> Markers:
 def _exact_markers(tag: str, k):
     """Closed-form markers for the three-state catalog models.
 
-    Returns (T1, T2, T3, p1, p2, p3); used as an oracle against the
-    null-space solver and as the fast path in the experiment loop.
+    Returns (T1, T2, T3, p1, p2, p3), elementwise when the rates are
+    arrays; used as an oracle against the null-space solver and as the
+    marker formula of the experiment.
     """
     k1, k2, k3, k4, k5 = k
     if tag in ("M2", "M4"):
@@ -164,9 +162,10 @@ def enumerate_variants(p: PhaseTypeParams,
                        include_models=models.SOLVABLE_N3) -> VariantReport:
     """Invert the input under every requested model and attach markers.
 
-    Valid instances (real, strictly positive rates) get markers and
-    enter the delta and shared-invariant computations; invalid ones are
-    kept for inspection.
+    Valid instances (real, strictly positive rates whose no-exit chain
+    has a unique positive steady state) get markers and enter the delta
+    and shared-invariant computations; invalid ones are kept for
+    inspection, and a marker failure is noted in ``diagnostics``.
     """
     m = inverse.symmetric_inputs(p)
     instances: list[VariantInstance] = []
@@ -181,9 +180,13 @@ def enumerate_variants(p: PhaseTypeParams,
                 diagnostics[str(model)] = f"{exc}; {exc2}"
                 continue
         for sol in sols:
-            valid = sol.all_positive
-            mk = markers(model, sol.rates) if valid else None
-            instances.append(VariantInstance(sol, mk, valid))
+            mk = None
+            if sol.all_positive:
+                try:
+                    mk = markers(model, sol.rates)
+                except SingularSteadyState as exc:
+                    diagnostics[f"{model}/{sol.branch}"] = f"markers: {exc}"
+            instances.append(VariantInstance(sol, mk, mk is not None))
 
     valid = [i for i in instances if i.valid]
     deltas = {}
@@ -233,132 +236,57 @@ class ExperimentReport:
         return self.n_retained / self.config.n_samples
 
 
-def _fast_invert(tag: str, L1, L2, L3, S1, S2):
-    """Closed-form generic inversion without object overhead.
+#: Samples drawn and inverted together.  A constant, because the order
+#: in which blocks take their draws from the seeded stream decides the
+#: samples; it bounds the experiment's memory at any sample count.
+_BLOCK = 1 << 13
 
-    Returns a list of 5-tuples; empty when the branch is complex or a
-    pivot vanishes.  Only the generic stratum is covered, which is all
-    that random moment draws land on.
+
+def _draw_moments(rng, n: int, cfg: ExperimentConfig) -> SymmetricMoments:
+    """Symmetric moments of ``n`` random three-exponential inputs.
+
+    A1, A2 are uniform on [0, 1] with A3 = 1 - A1 - A2; the decay rates
+    are log-uniform over the exponent range, and a sample's three rates
+    are redrawn until they are separated by more than ``tol_sep`` of the
+    largest.
     """
-    try:
-        k5 = -S1
-        G = L1 * S1 * S2 - L2 * S1 ** 2 + L3 * S1 - S2 ** 2
-        if tag == "M2":
-            den1 = S1 ** 3 - S1 * S2
-            k4 = (S1 ** 2 - S2) / S1
-            k2 = G / den1
-            k3 = (S1 ** 2 - S2) * L3 / G
-            num = (L1 ** 2 * S1 ** 3 * S2 + L2 ** 2 * S1 ** 3
-                   + S1 * S2 ** 3 + L3 ** 2 * S1
-                   + (-2.0 * S1 ** 2 * S2 ** 2
-                      + (-S1 ** 4 - S1 ** 2 * S2) * L2
-                      + (S1 ** 3 + S1 * S2) * L3) * L1
-                   + (S1 ** 3 * S2 - 2.0 * L3 * S1 ** 2 + S1 * S2 ** 2) * L2
-                   + (S1 ** 4 - 3.0 * S1 ** 2 * S2) * L3)
-            den = (-S1 ** 2 * S2 ** 2 + S2 ** 3
-                   + (S1 ** 3 * S2 - S1 * S2 ** 2) * L1
-                   + (-S1 ** 4 + S1 ** 2 * S2) * L2
-                   + (S1 ** 3 - S1 * S2) * L3)
-            return [(-num / den, k2, k3, k4, k5)]
-
-        disc = (L1 * S1) ** 2 - 2.0 * L1 * S1 * S2 - 4.0 * L3 * S1 + S2 ** 2
-        if disc < 0.0:
-            return []
-        root = math.sqrt(disc)
-        quads = [-(L1 * S1 - S2 + root) / (2.0 * S1),
-                 -(L1 * S1 - S2 - root) / (2.0 * S1)]
-        out = []
-        if tag == "M4":
-            k4 = (S1 ** 2 - S2) / S1
-            k2 = G / (S1 ** 3 - S1 * S2)
-            for k3 in quads:
-                k1 = (-L1 * S1 ** 2 + L2 * S1 + S1 * S2
-                      - (S1 ** 2 - S2) * k3 - L3) / (S1 ** 2 - S2)
-                out.append((k1, k2, k3, k4, k5))
-        elif tag == "M8":
-            for k2 in quads:
-                k4 = G / (k2 * S1 ** 2)
-                k3 = -(-S1 ** 3 * k2 + L1 * S1 * S2 - L2 * S1 ** 2
-                       + S1 * S2 * k2 + L3 * S1 - S2 ** 2) / (k2 * S1 ** 2)
-                k1 = L3 / (S1 * k2)
-                out.append((k1, k2, k3, k4, k5))
-        elif tag == "M9":
-            for k2 in quads:
-                pivot = 2.0 * k2 * S1 + L1 * S1 - S2
-                k4 = (L1 * S1 ** 2 + S1 ** 2 * k2 - L2 * S1 - S1 * S2
-                      - S2 * k2 + L3) / pivot
-                k1 = -(k2 * S1 + L1 * S1 - S2) / S1
-                k3 = -(-S1 ** 3 * k2 + L1 * S1 * S2 - L2 * S1 ** 2
-                       + S1 * S2 * k2 + L3 * S1 - S2 ** 2) / (S1 * pivot)
-                out.append((k1, k2, k3, k4, k5))
-        else:
-            raise ValueError(tag)
-        return out
-    except ZeroDivisionError:
-        return []
-
-
-def _sample_deltas(cfg: ExperimentConfig, index: int):
-    """Process one Monte Carlo sample; returns None if not retained,
-    else the tuple (delta_p1, delta_log10_T1, delta_log10_T2)."""
-    rng = np.random.default_rng(np.random.SeedSequence(
-        entropy=(cfg.seed, index)))
     lo, hi = cfg.exponent_range
-    a1 = rng.uniform()
-    a2 = rng.uniform()
+    a1, a2 = rng.uniform(size=(2, n))
     a3 = 1.0 - a1 - a2
+    lam = -10.0 ** rng.uniform(lo, hi, size=(n, 3))
     while True:
-        lam = -10.0 ** rng.uniform(lo, hi, size=3)
-        sep = np.min(np.abs(np.subtract.outer(lam, lam))
-                     [~np.eye(3, dtype=bool)])
-        if sep > cfg.tol_sep * np.max(np.abs(lam)):
+        sep = np.min(np.abs(lam[:, [0, 0, 1]] - lam[:, [1, 2, 2]]), axis=1)
+        close = sep <= cfg.tol_sep * np.max(np.abs(lam), axis=1)
+        if not close.any():
             break
-    l1, l2, l3 = lam
-    L1 = l1 + l2 + l3
-    L2 = l1 * l2 + l1 * l3 + l2 * l3
-    L3 = l1 * l2 * l3
-    S1 = a1 * l1 + a2 * l2 + a3 * l3
-    S2 = a1 * l1 ** 2 + a2 * l2 ** 2 + a3 * l3 ** 2
-
-    p1s, t1s, t2s = [], [], []
-    for tag in cfg.models:
-        for k in _fast_invert(tag, L1, L2, L3, S1, S2):
-            if not all(math.isfinite(x) and x > 0.0 for x in k):
-                continue
-            mk = _exact_markers(tag, k)
-            p1s.append(mk[3])
-            t1s.append(math.log10(mk[0]))
-            t2s.append(math.log10(mk[1]))
-    if not p1s:
-        return None
-    return (max(p1s) - min(p1s), max(t1s) - min(t1s), max(t2s) - min(t2s))
+        lam[close] = -10.0 ** rng.uniform(lo, hi, size=(close.sum(), 3))
+    l1, l2, l3 = lam.T
+    return SymmetricMoments(
+        L=(l1 + l2 + l3, l1 * l2 + l1 * l3 + l2 * l3, l1 * l2 * l3),
+        S=(a1 * l1 + a2 * l2 + a3 * l3,
+           a1 * l1 ** 2 + a2 * l2 ** 2 + a3 * l3 ** 2))
 
 
-def _run_chunk(args):
-    cfg, start, stop = args
-    n_ret = 0
-    zero = [0, 0, 0]
-    hp = np.zeros(cfg.n_bins, dtype=np.int64)
-    ht1 = np.zeros(cfg.n_bins, dtype=np.int64)
-    ht2 = np.zeros(cfg.n_bins, dtype=np.int64)
-    p_edges = np.linspace(0.0, 1.0, cfg.n_bins + 1)
-    t_edges = np.linspace(0.0, cfg.log_delta_max, cfg.n_bins + 1)
-    for i in range(start, stop):
-        res = _sample_deltas(cfg, i)
-        if res is None:
-            continue
-        n_ret += 1
-        dp, dt1, dt2 = res
-        for j, d in enumerate((dp, dt1, dt2)):
-            if d <= cfg.zero_delta_tol:
-                zero[j] += 1
-        hp[min(np.searchsorted(p_edges, dp, side="right") - 1,
-               cfg.n_bins - 1)] += 1
-        ht1[min(np.searchsorted(t_edges, dt1, side="right") - 1,
-                cfg.n_bins - 1)] += 1
-        ht2[min(np.searchsorted(t_edges, dt2, side="right") - 1,
-                cfg.n_bins - 1)] += 1
-    return n_ret, zero, hp, ht1, ht2
+def _retained_deltas(cfg: ExperimentConfig, m: SymmetricMoments):
+    """Spreads of p1, log10 T1 and log10 T2 over the valid variants.
+
+    A variant is a generic-branch solution whose inequations hold and
+    whose rates are all finite and positive.  Returns a (3, n_retained)
+    array, one column per sample with at least one valid variant.
+    """
+    shape = (3,) + m.L.shape[1:]
+    low = np.full(shape, np.inf)
+    high = np.full(shape, -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for tag in cfg.models:
+            for rates, ok in inverse.generic_branches(tag, m)[0]:
+                k = np.array(rates)
+                keep = ok & np.all(np.isfinite(k) & (k > 0.0), axis=0)
+                T1, T2, _, p1, _, _ = _exact_markers(tag, k)
+                marks = np.array([p1, np.log10(T1), np.log10(T2)])
+                low = np.where(keep, np.minimum(low, marks), low)
+                high = np.where(keep, np.maximum(high, marks), high)
+    return (high - low)[:, np.isfinite(low[0])]
 
 
 def discrimination_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -366,31 +294,29 @@ def discrimination_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     Each sample draws amplitudes A1, A2 uniform on [0,1] (A3 completes
     the sum to 1) and three decay rates log-uniform over four decades,
-    inverts every requested model, retains the sample if any model has
-    an all-positive real solution, and records the spreads of p_1 and
-    log10 T_1, log10 T_2 across all valid variants.  Deterministic for
-    a fixed seed; PHASEKIT_THREADS > 1 runs chunks in parallel with an
-    ordered reduction.
+    inverts every requested model with the generic closed forms of
+    invert_generic, retains the sample if any model has an all-positive
+    real solution, and records the spreads of p_1 and log10 T_1,
+    log10 T_2 across all valid variants.  All samples come from one
+    stream seeded with ``cfg.seed``, drawn and inverted in blocks of
+    fixed size, so a seed gives the same report every time.
     """
-    n_workers = int(os.environ.get("PHASEKIT_THREADS", "1"))
-    n = cfg.n_samples
-    n_chunks = max(n_workers * 4, 1)
-    bounds = np.linspace(0, n, n_chunks + 1, dtype=int)
-    jobs = [(cfg, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(_run_chunk, jobs))
-    else:
-        parts = [_run_chunk(j) for j in jobs]
-
-    n_ret = sum(p[0] for p in parts)
-    zero = np.sum([p[1] for p in parts], axis=0)
-    hp = np.sum([p[2] for p in parts], axis=0)
-    ht1 = np.sum([p[3] for p in parts], axis=0)
-    ht2 = np.sum([p[4] for p in parts], axis=0)
-
+    rng = np.random.default_rng(cfg.seed)
     p_edges = np.linspace(0.0, 1.0, cfg.n_bins + 1)
     t_edges = np.linspace(0.0, cfg.log_delta_max, cfg.n_bins + 1)
+    n_ret = 0
+    zero = np.zeros(3, dtype=np.int64)
+    counts = np.zeros((3, cfg.n_bins), dtype=np.int64)
+    for start in range(0, cfg.n_samples, _BLOCK):
+        n = min(_BLOCK, cfg.n_samples - start)
+        deltas = _retained_deltas(cfg, _draw_moments(rng, n, cfg))
+        n_ret += deltas.shape[1]
+        zero += np.sum(deltas <= cfg.zero_delta_tol, axis=1)
+        for j, edges in enumerate((p_edges, t_edges, t_edges)):
+            bins = np.searchsorted(edges, deltas[j], side="right") - 1
+            counts[j] += np.bincount(np.minimum(bins, cfg.n_bins - 1),
+                                     minlength=cfg.n_bins)
+
     denom = max(n_ret, 1)
     return ExperimentReport(
         config=cfg,
@@ -400,10 +326,10 @@ def discrimination_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         zero_fraction_t2=zero[2] / denom,
         histograms={
             "delta_p1": {"edges": p_edges.tolist(),
-                         "counts": hp.tolist()},
+                         "counts": counts[0].tolist()},
             "delta_log10_T1": {"edges": t_edges.tolist(),
-                               "counts": ht1.tolist()},
+                               "counts": counts[1].tolist()},
             "delta_log10_T2": {"edges": t_edges.tolist(),
-                               "counts": ht2.tolist()},
+                               "counts": counts[2].tolist()},
         },
     )

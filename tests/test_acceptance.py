@@ -9,7 +9,6 @@ numbers).
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -182,17 +181,9 @@ def test_criterion_3_m3_family():
 
 
 def test_criterion_4_discrimination_experiment():
-    old = os.environ.get("PHASEKIT_THREADS")
-    os.environ["PHASEKIT_THREADS"] = "1"
-    try:
-        t0 = time.time()
-        rep = pk.discrimination_experiment(pk.ExperimentConfig())
-        elapsed = time.time() - t0
-    finally:
-        if old is None:
-            os.environ.pop("PHASEKIT_THREADS", None)
-        else:
-            os.environ["PHASEKIT_THREADS"] = old
+    t0 = time.time()
+    rep = pk.discrimination_experiment(pk.ExperimentConfig())
+    elapsed = time.time() - t0
     retained = rep.n_retained / rep.config.n_samples
     zp, zt1, zt2 = (rep.zero_fraction_p, rep.zero_fraction_t1,
                     rep.zero_fraction_t2)

@@ -166,6 +166,12 @@ class TestPipeline:
         assert run(["pipeline", "--model", "M9", "--rates", "1,2,3,4,5",
                     "--n", 10, "--seed", 1]) == 2
 
+    def test_chain2_pipeline_is_typed_error(self, capsys):
+        # The generic three-state formulas need three fitted components.
+        assert run(["pipeline", "--model", "chain2", "--rates", "1,2,3",
+                    "--n", 2000, "--seed", 1, "--restarts", 2]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "WrongArity"
+
     def test_m3_pipeline_family(self, tmp_path):
         out = tmp_path / "pipe3.json"
         assert run(["pipeline", "--model", "M3", "--rates", "1,2,3,4,5",

@@ -1,12 +1,11 @@
 """Variant-model tests: markers, symmetries, maps, and the experiment."""
 
-import os
-
 import numpy as np
 import pytest
 
-from phasekit import direct, models, rashomon
-from phasekit.errors import DomainViolation
+from phasekit import direct, inverse, models, rashomon
+from phasekit.errors import (DomainViolation, GenericBranchMiss,
+                             NegativeDiscriminant)
 
 
 M9_RATES = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -115,6 +114,22 @@ class TestEnumerateVariants:
         assert report.deltas["p1"] > 0.1
         assert report.deltas["p3"] < 1e-8
 
+    def test_lumpable_m9_keeps_report(self):
+        # k1 = k2: the Thomas solution of M8 has k3 zero to within
+        # rounding, so its no-exit chain may have no positive steady
+        # state.  That instance becomes invalid instead of losing the
+        # whole report.
+        k = [6.436347528366836, 6.436347528366836, 1.0508460580421164,
+             4.414599337967416, 0.6003726803842672]
+        report = rashomon.enumerate_variants(params_for("M9", k))
+        assert report.n_valid >= 1
+        for inst in report.instances:
+            if not inst.valid and inst.solution.all_positive:
+                key = f"{inst.solution.model}/{inst.solution.branch}"
+                assert report.diagnostics[key].startswith("markers: ")
+        for name in ("k5", "T3", "p3"):
+            assert report.constraint_spreads[name] < 1e-8
+
     def test_original_rates_in_variant_set(self):
         report = rashomon.enumerate_variants(params_for("M9", M9_RATES))
         dists = [
@@ -133,21 +148,40 @@ class TestExperiment:
         assert r1.n_retained == r2.n_retained
         assert r1.histograms == r2.histograms
 
-    def test_worker_count_invariance(self):
-        cfg = rashomon.ExperimentConfig(n_samples=400, seed=5)
-        old = os.environ.get("PHASEKIT_THREADS")
-        try:
-            os.environ["PHASEKIT_THREADS"] = "1"
-            r1 = rashomon.discrimination_experiment(cfg)
-            os.environ["PHASEKIT_THREADS"] = "3"
-            r2 = rashomon.discrimination_experiment(cfg)
-        finally:
-            if old is None:
-                os.environ.pop("PHASEKIT_THREADS", None)
-            else:
-                os.environ["PHASEKIT_THREADS"] = old
-        assert r1.n_retained == r2.n_retained
-        assert r1.histograms == r2.histograms
+    def test_kernel_batch_matches_scalar_calls(self):
+        # A batch of experiment draws, plus a lumpable M9 input (zero
+        # discriminant) and an M3 input (G = 0), gives element for element
+        # the candidates and masks of calls on a batch of one, as
+        # invert_generic makes them, and those masks all hold exactly when
+        # invert_generic accepts the moments.
+        cfg = rashomon.ExperimentConfig()
+        draws = rashomon._draw_moments(np.random.default_rng(5), 60, cfg)
+        degenerate = [direct.moments(params_for(tag, rates)) for tag, rates
+                      in (("M9", [2.0, 2.0, 3.0, 4.0, 5.0]),
+                          ("M3", [1.0, 2.0, 3.0, 4.0, 5.0]))]
+        m = direct.SymmetricMoments(
+            L=np.column_stack([draws.L] + [d.L for d in degenerate]),
+            S=np.column_stack([draws.S] + [d.S for d in degenerate]))
+        for tag in cfg.models:
+            model = models.model_from_string(tag)
+            batch, _ = inverse.generic_branches(tag, m)
+            for i in range(m.L.shape[1]):
+                one = direct.SymmetricMoments(L=m.L[:, i:i + 1],
+                                              S=m.S[:, i:i + 1])
+                scalar, _ = inverse.generic_branches(tag, one)
+                assert len(scalar) == len(batch)
+                for (rates, ok), (rates_i, ok_i) in zip(batch, scalar):
+                    np.testing.assert_array_equal(
+                        np.array(rates)[:, i], np.ravel(rates_i))
+                    assert ok[i] == ok_i[0]
+                try:
+                    inverse.invert_generic(
+                        model, direct.SymmetricMoments(L=m.L[:, i],
+                                                       S=m.S[:, i]))
+                    accepted = True
+                except (GenericBranchMiss, NegativeDiscriminant):
+                    accepted = False
+                assert accepted == all(ok_i[0] for _, ok_i in scalar)
 
     def test_retained_fraction_range(self):
         cfg = rashomon.ExperimentConfig(n_samples=2000, seed=7)
