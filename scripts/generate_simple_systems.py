@@ -522,10 +522,9 @@ def encode(expr):
     return "|".join(terms)
 
 
-def main():
-    out_dir = pathlib.Path(__file__).resolve().parents[1] / "src/phasekit/data"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    checksums = {}
+def render_payloads() -> dict[str, str]:
+    """Text of each ``<model>.systems`` data file, keyed by file name."""
+    payloads = {}
     for model, systems in SYSTEMS.items():
         ranking = RANKINGS[model]
         lines = [f"MODEL {model}", "RANKING " + " ".join(ranking),
@@ -546,11 +545,19 @@ def main():
                         raise ValueError(
                             f"{model} system {idx}: degree > 2 in {ld}")
                 lines.append(f"{kind};{ld};{encode(expr)}")
-        payload = "\n".join(lines) + "\n"
-        path = out_dir / f"{model}.systems"
+        payloads[f"{model}.systems"] = "\n".join(lines) + "\n"
+    return payloads
+
+
+def main():
+    out_dir = pathlib.Path(__file__).resolve().parents[1] / "src/phasekit/data"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    checksums = {}
+    for name, payload in render_payloads().items():
+        path = out_dir / name
         path.write_text(payload)
-        checksums[path.name] = hashlib.sha256(payload.encode()).hexdigest()
-        print(f"wrote {path} ({len(systems)} systems)")
+        checksums[name] = hashlib.sha256(payload.encode()).hexdigest()
+        print(f"wrote {path} ({len(SYSTEMS[path.stem])} systems)")
     (out_dir / "checksums.json").write_text(
         json.dumps(checksums, indent=2, sort_keys=True) + "\n")
     print("wrote checksums.json")

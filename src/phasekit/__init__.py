@@ -17,6 +17,7 @@ from .direct import (
     mean_time,
     moments,
     moments_from_generator,
+    params_from_moments,
     phase_type_params,
     spectrum,
     survival,

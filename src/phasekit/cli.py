@@ -260,18 +260,7 @@ def _variant_payload(report: rashomon.VariantReport) -> dict:
 
 def _cmd_variants(args, manifest: _Manifest) -> int:
     if args.moments:
-        m = _moments_from_args(args)
-        lam = np.roots([1.0, -m.L[0], m.L[1], -m.L[2]])
-        if np.any(np.abs(lam.imag) > 1e-9):
-            raise PhasekitError("moments give complex decay rates")
-        lam = np.sort(lam.real)
-        van = np.vander(lam, increasing=True).T[1:3]
-        amps = np.linalg.lstsq(
-            np.vstack([np.ones(3), van]),
-            np.array([1.0, m.S[0], m.S[1]]),
-            rcond=None,
-        )[0]
-        p = direct.PhaseTypeParams(lam=tuple(lam), A=tuple(amps))
+        p = direct.params_from_moments(_moments_from_args(args))
     else:
         p = _params_from_args(args)
     report = rashomon.enumerate_variants(p)

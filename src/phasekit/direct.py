@@ -8,10 +8,10 @@ reparameterization (L, S) used as input by the inverse solvers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from mpmath import mp
 
 from . import models
@@ -122,7 +122,7 @@ def _flow_table(model, k) -> list[list]:
     return R
 
 
-def _gth_det(R, states: list[int]):
+def _gth_det(R, states: list[int], outside: list[int]):
     """Principal minor det(-Q[I, I]) of the states I by GTH elimination.
 
     -Q[I, I] is an M-matrix whose row sums are the rates leaking out of
@@ -133,12 +133,13 @@ def _gth_det(R, states: list[int]):
     (Grassmann, Taksar and Heyman, 1985; O'Cinneide, 1993).  With
     nonnegative rates a zero pivot means a closed class, whose minor is
     zero; negative rates (invalid solver branches) lose the accuracy
-    guarantee but keep the algebra.
+    guarantee but keep the algebra.  ``outside`` lists the states, the
+    observed one included, that are not in I.
     """
-    inside = set(states)
+    if len(states) == 1:  # a lone state's minor is its leak
+        return sum(R[states[0]][j] for j in outside)
     a = [[R[i][j] for j in states] for i in states]
-    leak = [sum(x for j, x in enumerate(R[i]) if j not in inside)
-            for i in states]
+    leak = [sum(R[i][j] for j in outside) for i in states]
     det = 1
     for p in range(len(states) - 1, -1, -1):
         piv = leak[p] + sum(a[p][:p])
@@ -156,22 +157,75 @@ def _gth_det(R, states: list[int]):
     return det
 
 
-def _charpoly(R, n: int) -> tuple[list, list]:
+@functools.lru_cache(maxsize=None)
+def _minor_blocks(model) -> tuple[list[tuple], list[tuple]]:
+    """Connected state sets of the arc graph, and the components of
+    every nonempty subset of states.
+
+    Returns ``(blocks, subsets)``.  ``blocks`` lists the sets of hidden
+    states whose arcs connect them, each with the states outside it, as
+    :func:`_gth_det` takes them; ``subsets`` holds, for the subset
+    masks 1 .. 2^N - 1 in order, the subset's size, whether it avoids
+    state N, and the indices in ``blocks`` of its components.  No arc
+    joins two components, so a principal minor is the product of the
+    minors of its components.
+    """
+    n = model.n
+    nbr = [0] * n
+    for src, dst, _ in models.arc_list(model):
+        if dst <= n:
+            nbr[src - 1] |= 1 << (dst - 1)
+            nbr[dst - 1] |= 1 << (src - 1)
+    index: dict[int, int] = {}
+    blocks = []
+    subsets = []
+    for mask in range(1, 1 << n):
+        comps = []
+        rest = mask
+        while rest:
+            comp = rest & -rest
+            while True:
+                grown = comp
+                for i in range(n):
+                    if comp >> i & 1:
+                        grown |= nbr[i] & mask
+                if grown == comp:
+                    break
+                comp = grown
+            rest &= ~comp
+            if comp not in index:
+                index[comp] = len(blocks)
+                blocks.append(([i for i in range(n) if comp >> i & 1],
+                               [i for i in range(n + 1)
+                                if not comp >> i & 1]))
+            comps.append(index[comp])
+        subsets.append((bin(mask).count("1"), not mask >> (n - 1) & 1,
+                        comps))
+    return blocks, subsets
+
+
+def _charpoly(model, R) -> tuple[list, list]:
     """Coefficients of det(x I - Qtilde) and det(x I - B), highest first.
 
     e_j (the j-th coefficient) is the sum of the j x j principal minors of
     -Qtilde, and d_j the same sum over minors that avoid state N, so that
-    B is the leading (N-1)-block.  All minors are positive sums for
-    nonnegative rates.
+    B is the leading (N-1)-block.  Each minor is a product of GTH minors
+    of connected state sets (:func:`_minor_blocks`), so all of them are
+    positive sums and products for nonnegative rates, and a chain of N
+    states needs N (N + 1) / 2 eliminations instead of 2^N - 1.
     """
+    n = model.n
+    blocks, subsets = _minor_blocks(model)
+    dets = [_gth_det(R, *block) for block in blocks]
     e = [1] + [0] * n
     d = [1] + [0] * (n - 1)
-    for mask in range(1, 1 << n):
-        states = [i for i in range(n) if mask >> i & 1]
-        det = _gth_det(R, states)
-        e[len(states)] += det
-        if not mask >> (n - 1) & 1:
-            d[len(states)] += det
+    for size, avoids_n, comps in subsets:
+        det = dets[comps[0]]
+        for c in comps[1:]:
+            det = det * dets[c]
+        e[size] += det
+        if avoids_n:
+            d[size] += det
     return e, d
 
 
@@ -186,15 +240,15 @@ def moment_vector(model, k) -> list:
     """
     n = model.n
     R = _flow_table(model, k)
-    e, _ = _charpoly(R, n)
+    e, _ = _charpoly(model, R)
     out = [sum(row[:i]) + sum(row[i + 1:]) for i, row in enumerate(R)]
     k_exit = R[n - 1][n]
     u = [0] * (n - 1) + [1]  # row N of (hidden-state block of Q)^j
-    S = []
-    for _ in range(n - 1):
-        S.append(-k_exit * u[n - 1])
+    S = [-k_exit] if n > 1 else []
+    for _ in range(n - 2):
         u = [sum(u[i] * R[i][j] for i in range(n) if i != j) - u[j] * out[j]
              for j in range(n)]
+        S.append(-k_exit * u[n - 1])
     return [(-1) ** j * e[j] for j in range(1, n + 1)] + S
 
 
@@ -220,6 +274,8 @@ def _tridiagonal_params(gen: Generator) -> PhaseTypeParams | None:
     lower = np.diag(mat, -1)
     if np.any(upper <= 0.0) or np.any(lower <= 0.0):
         return None
+
+    import scipy.linalg  # here: it would double the package's import time
 
     a = np.diag(mat).copy()
     lam, vecs = scipy.linalg.eigh_tridiagonal(a, np.sqrt(upper * lower))
@@ -325,7 +381,8 @@ def phase_type_params(gen: Generator) -> PhaseTypeParams:
         raise DegenerateSpectrum("spectrum is not real; no (lambda, A) form")
     n = gen.N
     e, d = (np.array(c, dtype=float)
-            for c in _charpoly(_flow_table(gen.model, gen.rates.tolist()), n))
+            for c in _charpoly(gen.model,
+                               _flow_table(gen.model, gen.rates.tolist())))
     de = np.polyder(e)
     lam = spec.eigenvalues.copy()
     for _ in range(8):
@@ -390,6 +447,25 @@ def moments(p: PhaseTypeParams) -> SymmetricMoments:
     n = p.n
     S = np.array([float(np.sum(p.A * p.lam ** k)) for k in range(1, n)])
     return SymmetricMoments(L, S)
+
+
+def params_from_moments(m: SymmetricMoments) -> PhaseTypeParams:
+    """Survival parameters (lambda, A) whose symmetric moments are ``m``.
+
+    The inverse of :func:`moments`: the decay rates are the roots of
+    x^N - L_1 x^(N-1) + L_2 x^(N-2) - ... + (-1)^N L_N, and the
+    amplitudes solve sum_i A_i = 1 and sum_i A_i lambda_i^j = S_j in the
+    least-squares sense.  The rates come in ascending order.  Raises
+    DegenerateSpectrum when the roots are complex.
+    """
+    signs = (-1.0) ** np.arange(1, m.n + 1)
+    lam = np.roots(np.concatenate([[1.0], signs * m.L]))
+    if np.any(np.abs(lam.imag) > 1e-9):
+        raise DegenerateSpectrum("moments give complex decay rates")
+    lam = np.sort(lam.real)
+    amps = np.linalg.lstsq(np.vander(lam, increasing=True).T,
+                           np.concatenate([[1.0], m.S]), rcond=None)[0]
+    return PhaseTypeParams(lam, amps)
 
 
 def moments_from_generator(gen: Generator) -> SymmetricMoments:

@@ -54,7 +54,7 @@ class InverseSolution:
 
     @property
     def all_positive(self) -> bool:
-        return bool(np.all(self.rates > 0.0))
+        return bool(clearly_positive(self.rates))
 
     def as_dict(self) -> dict:
         return {
@@ -65,6 +65,18 @@ class InverseSolution:
             "free_params": {n: float(v) for n, v in self.free_params},
             "all_positive": self.all_positive,
         }
+
+
+def clearly_positive(k) -> np.ndarray:
+    """Whether every rate along the first axis of ``k`` is positive.
+
+    A rate at most ``_ROUNDING_BAND`` times the largest rate of its
+    vector is zero to within rounding (lumpable inputs give such rates
+    as +-1e-15 noise on an exact zero), so it does not count; neither
+    does a nan or an infinite rate.
+    """
+    k = np.asarray(k, dtype=float)
+    return k.min(axis=0) > _ROUNDING_BAND * k.max(axis=0)
 
 
 def symmetric_inputs(p: PhaseTypeParams) -> SymmetricMoments:
@@ -105,38 +117,43 @@ def _relative_jacobian(model, k: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return jac / denom[:, None]
 
 
-def _polish(model, rates, m: SymmetricMoments) -> np.ndarray:
+def _polish(model, rates, m: SymmetricMoments) -> tuple[np.ndarray, float]:
     """Newton-refine a rate vector against the target moments.
 
     Closed-form branch values lose digits when the rates span several
     decades.  Newton on the relative residuals (moment_i / target_i - 1)
     with steps relative to each rate runs in float64 until the residual
-    stops decreasing.  The error left by float64 rounding is bounded by
-    the last correction and by the Jacobian's condition number times the
-    few ulps to which the forward map is accurate; when that bound
+    stops decreasing.  Every step reuses the Jacobian of the closed-form
+    start (a chord method): the start is close enough that the chord
+    converges in as few steps as Newton, at one forward evaluation per
+    step instead of six.  The error left by float64 rounding is bounded
+    by the last correction and by the Jacobian's condition number times
+    the few ulps to which the forward map is accurate; when that bound
     exceeds ``_FLOAT_POLISH_TOL`` (an ill-conditioned input) the target
     moments are taken as exact and the rates are refined against them in
-    extended precision, reusing the float64 Jacobian.  Returns the input
-    unchanged whenever refinement does not help.
+    extended precision, with the Jacobian evaluated again at the last
+    float64 iterate.  Returns the rates, the input unchanged whenever
+    refinement does not help, and their :func:`roundtrip_residual`,
+    taken from the last float64 residual where that is the same value.
     """
     target = m.as_vector()
     denom = _moment_denominators(target)
     k = np.asarray(rates, dtype=float)
     # Steps are relative to each rate, so a zero rate cannot move.
     if not np.all(np.isfinite(k)) or np.any(k == 0.0):
-        return k
+        return k, roundtrip_residual(model, k, m)
 
     def resid(x):
         got = np.array(direct.moment_vector(model, x.tolist()), dtype=float)
         return (got - target) / denom
 
     r = resid(k)
+    jac = _relative_jacobian(model, k, denom)
+    try:
+        inv = np.linalg.inv(jac)
+    except np.linalg.LinAlgError:
+        return k, float(np.max(np.abs(r)))
     for _ in range(8):
-        jac = _relative_jacobian(model, k, denom)
-        try:
-            inv = np.linalg.inv(jac)
-        except np.linalg.LinAlgError:
-            return k
         step = -inv @ r
         trial = k * (1.0 + step)
         r_trial = resid(trial)
@@ -148,8 +165,13 @@ def _polish(model, rates, m: SymmetricMoments) -> np.ndarray:
             break
     cond = np.linalg.norm(jac, np.inf) * np.linalg.norm(inv, np.inf)
     if max(np.max(np.abs(step)), 4.0 * _EPS * cond) <= _FLOAT_POLISH_TOL:
-        return k
-    return _polish_extended(model, k, target, denom, inv)
+        return k, float(np.max(np.abs(r)))
+    try:
+        inv = np.linalg.inv(_relative_jacobian(model, k, denom))
+    except np.linalg.LinAlgError:
+        return k, float(np.max(np.abs(r)))
+    k = _polish_extended(model, k, target, denom, inv)
+    return k, roundtrip_residual(model, k, m)
 
 
 def _polish_extended(model, k, target, denom, inv) -> np.ndarray:
@@ -183,10 +205,11 @@ def _polish_extended(model, k, target, denom, inv) -> np.ndarray:
 def _make_solution(model, rates, branch, m, free=(), polish=True):
     rates = np.asarray(rates, dtype=float)
     if polish and not free:
-        rates = _polish(model, rates, m)
+        rates, residual = _polish(model, rates, m)
+    else:
+        residual = roundtrip_residual(model, rates, m)
     return InverseSolution(model=model, rates=rates, branch=branch,
-                           residual=roundtrip_residual(model, rates, m),
-                           free_params=tuple(free))
+                           residual=residual, free_params=tuple(free))
 
 
 def _nonzero(what, value, terms):

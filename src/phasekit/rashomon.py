@@ -162,10 +162,11 @@ def enumerate_variants(p: PhaseTypeParams,
                        include_models=models.SOLVABLE_N3) -> VariantReport:
     """Invert the input under every requested model and attach markers.
 
-    Valid instances (real, strictly positive rates whose no-exit chain
-    has a unique positive steady state) get markers and enter the delta
-    and shared-invariant computations; invalid ones are kept for
-    inspection, and a marker failure is noted in ``diagnostics``.
+    Valid instances (real rates, all positive beyond the rounding band of
+    :func:`inverse.clearly_positive`, whose no-exit chain has a unique
+    positive steady state) get markers and enter the delta and
+    shared-invariant computations; invalid ones are kept for inspection,
+    and a marker failure is noted in ``diagnostics``.
     """
     m = inverse.symmetric_inputs(p)
     instances: list[VariantInstance] = []
@@ -271,8 +272,10 @@ def _retained_deltas(cfg: ExperimentConfig, m: SymmetricMoments):
     """Spreads of p1, log10 T1 and log10 T2 over the valid variants.
 
     A variant is a generic-branch solution whose inequations hold and
-    whose rates are all finite and positive.  Returns a (3, n_retained)
-    array, one column per sample with at least one valid variant.
+    whose rates are all finite and positive beyond rounding, as for
+    :attr:`inverse.InverseSolution.all_positive`.  Returns a
+    (3, n_retained) array, one column per sample with at least one valid
+    variant.
     """
     shape = (3,) + m.L.shape[1:]
     low = np.full(shape, np.inf)
@@ -280,9 +283,8 @@ def _retained_deltas(cfg: ExperimentConfig, m: SymmetricMoments):
     with np.errstate(divide="ignore", invalid="ignore"):
         for tag in cfg.models:
             for rates, ok in inverse.generic_branches(tag, m)[0]:
-                k = np.array(rates)
-                keep = ok & np.all(np.isfinite(k) & (k > 0.0), axis=0)
-                T1, T2, _, p1, _, _ = _exact_markers(tag, k)
+                keep = ok & inverse.clearly_positive(rates)
+                T1, T2, _, p1, _, _ = _exact_markers(tag, rates)
                 marks = np.array([p1, np.log10(T1), np.log10(T2)])
                 low = np.where(keep, np.minimum(low, marks), low)
                 high = np.where(keep, np.maximum(high, marks), high)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .direct import PhaseTypeParams, survival
 from .errors import InvalidDensity, NonErgodic
@@ -248,6 +247,8 @@ def fit_multiexp(
     coordinates with the last amplitude eliminated; the best of
     ``config.restarts`` quasi-Newton runs is returned.
     """
+    from scipy.optimize import minimize  # here: slow to import, fit only
+
     n = n_components
     if n < 1:
         raise ValueError("n_components must be at least 1")

@@ -5,6 +5,10 @@ generator: starting from the return state, the survival function is the
 probability mass not yet absorbed at time t.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -153,6 +157,36 @@ class TestSymmetricFunctions:
             rtol=1e-8, atol=1e-10)
 
 
+class TestParamsFromMoments:
+    @pytest.mark.parametrize("model,rates", [
+        (models.M9, [1.0, 2.0, 3.0, 4.0, 5.0]),
+        (models.unbranched_chain(4), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]),
+    ])
+    def test_round_trip(self, model, rates):
+        p = direct.phase_type_params(models.build_generator(model, rates))
+        back = direct.params_from_moments(direct.moments(p)).sorted()
+        np.testing.assert_allclose(back.lam, p.lam, rtol=1e-12)
+        np.testing.assert_allclose(back.A, p.A, rtol=1e-9)
+
+    def test_complex_roots_raise(self):
+        # Roots -1 and -1 +- i.
+        m = direct.SymmetricMoments(L=(-3.0, 4.0, -2.0), S=(-1.0, 1.0))
+        with pytest.raises(DegenerateSpectrum):
+            direct.params_from_moments(m)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported where it is used: it would double the time
+    # `import phasekit` takes.
+    src = os.path.dirname(os.path.dirname(direct.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, phasekit; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 class TestForwardAccuracy:
     """Regression inputs where the float64 forward map used to lose
     relative accuracy to cancellation."""
@@ -181,3 +215,15 @@ class TestForwardAccuracy:
         lam, amps = mp_phase_type_params(model, k)
         np.testing.assert_allclose(p.lam, lam, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(p.A, amps, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_chain_moments_match_extended_precision(self, n):
+        # Rates over four decades.  Each minor of a chain is a product of
+        # the minors of its intervals, which must keep the accuracy of
+        # one GTH elimination over the whole subset.
+        rng = np.random.default_rng(n)
+        k = 10.0 ** rng.uniform(-2.0, 2.0, size=2 * n - 1)
+        model = models.unbranched_chain(n)
+        got = np.array(direct.moment_vector(model, k.tolist()), dtype=float)
+        ref = np.array([float(x) for x in mp_moments(model, k)])
+        np.testing.assert_allclose(got, ref, rtol=8 * EPS, atol=0.0)

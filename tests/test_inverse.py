@@ -155,6 +155,39 @@ class TestUnbranchedChain:
         np.testing.assert_allclose(sol.rates, rates, rtol=1e-6)
 
 
+class TestPolish:
+    def test_one_jacobian_per_solution(self, monkeypatch):
+        # A well-conditioned M9 input whose closed forms need two steps:
+        # the polish takes one residual at the start, one complex-step
+        # Jacobian (five calls) and one call per step, and the stored
+        # residual needs no further call.
+        model, m = forward_moments("M9", [0.3, 2.0, 7.0, 0.5, 1.5])
+        forward = direct.moment_vector
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return forward(*args)
+
+        monkeypatch.setattr(direct, "moment_vector", counted)
+        sols = inverse.invert_generic(model, m)
+        assert len(sols) == 2
+        assert len(calls) <= 10 * len(sols)
+
+    @pytest.mark.parametrize("tag,rates", [
+        ("M2", [0.3, 2.0, 7.0, 0.5, 1.5]),
+        ("M4", [1.0, 1.5, 4.0, 3.0, 5.0]),
+        ("M8", [0.011295008395206122, 0.5359560150546294, 90.7269817444433,
+                0.08982790586779642, 0.022631436015290683]),
+        ("M9", [0.05, 3.0, 20.0, 0.7, 1.1]),
+    ])
+    def test_stored_residual_is_roundtrip_residual(self, tag, rates):
+        model, m = forward_moments(tag, rates)
+        for sol in inverse.invert_generic(model, m):
+            assert sol.residual == inverse.roundtrip_residual(
+                model, sol.rates, m)
+
+
 class TestResidual:
     def test_residual_definition(self):
         model, m = forward_moments("M9", [1.0, 2.0, 3.0, 4.0, 5.0])

@@ -9,6 +9,9 @@ from phasekit.errors import (DomainViolation, GenericBranchMiss,
 
 
 M9_RATES = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+#: Lumpable M9 rates (k1 = k2), from the variants benchmark inputs.
+LUMPABLE_M9 = [6.436347528366836, 6.436347528366836, 1.0508460580421164,
+               4.414599337967416, 0.6003726803842672]
 
 
 def params_for(tag, rates):
@@ -119,9 +122,7 @@ class TestEnumerateVariants:
         # rounding, so its no-exit chain may have no positive steady
         # state.  That instance becomes invalid instead of losing the
         # whole report.
-        k = [6.436347528366836, 6.436347528366836, 1.0508460580421164,
-             4.414599337967416, 0.6003726803842672]
-        report = rashomon.enumerate_variants(params_for("M9", k))
+        report = rashomon.enumerate_variants(params_for("M9", LUMPABLE_M9))
         assert report.n_valid >= 1
         for inst in report.instances:
             if not inst.valid and inst.solution.all_positive:
@@ -129,6 +130,17 @@ class TestEnumerateVariants:
                 assert report.diagnostics[key].startswith("markers: ")
         for name in ("k5", "T3", "p3"):
             assert report.constraint_spreads[name] < 1e-8
+
+    def test_lumpable_m9_rounding_zero_rates_invalid(self):
+        # The M2 generic and M4 Thomas solutions have k1 ~ 3e-15 here, an
+        # exact zero plus rounding noise; they are no valid variants.
+        report = rashomon.enumerate_variants(params_for("M9", LUMPABLE_M9))
+        band = 64.0 * np.finfo(float).eps
+        small = [i for i in report.instances
+                 if np.min(i.solution.rates)
+                 <= band * np.max(i.solution.rates)]
+        assert {str(i.solution.model) for i in small} >= {"M2", "M4"}
+        assert not any(i.valid or i.solution.all_positive for i in small)
 
     def test_original_rates_in_variant_set(self):
         report = rashomon.enumerate_variants(params_for("M9", M9_RATES))

@@ -1,5 +1,10 @@
 """Triangular-system data tests: loading, matching, and solving."""
 
+import hashlib
+import importlib.util
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +28,26 @@ def forward_point(tag, rates):
     gen = models.build_generator(model, np.asarray(rates, dtype=float))
     m = direct.moments_from_generator(gen)
     return np.concatenate([rates, m.as_vector()])
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_generator_reproduces_shipped_files():
+    pytest.importorskip("sympy")
+    spec = importlib.util.spec_from_file_location(
+        "generate_simple_systems",
+        ROOT / "scripts" / "generate_simple_systems.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    data = ROOT / "src" / "phasekit" / "data"
+    checksums = json.loads((data / "checksums.json").read_text())
+    payloads = script.render_payloads()
+    assert sorted(payloads) == sorted(checksums)
+    for name, payload in payloads.items():
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        assert digest == checksums[name], name
+        assert payload.encode() == (data / name).read_bytes(), name
 
 
 class TestLoading:
