@@ -107,19 +107,63 @@ def spectrum(gen: Generator) -> Spectrum:
     return Spectrum(vals, is_real, vecs)
 
 
-def _flow_table(model, k) -> list[list]:
-    """Rates R[i][j] of the arcs i -> j, states 0..N-1 to 0..N (N observed).
+def _flow_table(model, k) -> tuple[list[list], tuple]:
+    """Rates R[i][j] of the arcs i -> j, states 0..N-1 to 0..N (N observed),
+    and the arcs (i, j) of the table.
 
-    Entries keep the number type of ``k`` (float, complex, mpmath), so
-    the forward map below runs unchanged in extended precision and under
-    complex-step differentiation.
+    ``model`` is one model, or a sequence of models with the same N, one
+    per column of rates that carry a trailing batch axis.  R[i][j] is
+    None where no model has the arc (a structural zero) and is 0 in the
+    columns of models without it.  Entries keep the number type of ``k``
+    (float, complex, mpmath, or numpy arrays of a batch), so the forward
+    map below runs unchanged in extended precision, under complex-step
+    differentiation and on many inputs at once.
     """
-    n = model.n
-    zero = k[0] * 0
-    R = [[zero] * (n + 1) for _ in range(n)]
-    for src, dst, idx in models.arc_list(model):
-        R[src - 1][dst - 1] = R[src - 1][dst - 1] + k[idx - 1]
-    return R
+    single = isinstance(model, models.ModelId)
+    n, arcs, index = _arc_layout((model,) if single else tuple(model))
+    if single:
+        rows = [k[idx] for idx in index[:, 0].tolist()]
+    else:
+        k = np.asarray(k)
+        rows = np.concatenate([k, np.zeros_like(k[:1])])[
+            index, np.arange(k.shape[1])]
+    R = [[None] * (n + 1) for _ in range(n)]
+    for (i, j), row in zip(arcs, rows):
+        R[i][j] = row
+    return R, arcs
+
+
+@functools.lru_cache(maxsize=256)
+def _arc_layout(batch: tuple) -> tuple[int, tuple, np.ndarray]:
+    """N, the arcs (i, j) of any model of ``batch``, and for each arc the
+    index of its rate in every column, or one past the last rate (a zero
+    row of the batch) where the column's model lacks the arc.  Each model
+    has at most one arc per pair of states."""
+    rate_of = {model: {(src - 1, dst - 1): idx - 1
+                       for src, dst, idx in models.arc_list(model)}
+               for model in batch}
+    n = batch[0].n
+    if any(model.n != n for model in rate_of):
+        raise ValueError("a batch needs models with the same N")
+    arcs = tuple(sorted(set().union(*rate_of.values())))
+    index = np.array([[rate_of[model].get(arc, model.n_rates)
+                       for model in batch] for arc in arcs])
+    index.flags.writeable = False  # cached: every caller gets this array
+    return n, arcs, index
+
+
+def _add(x, y):
+    """x + y, where None stands for a structural zero."""
+    return y if x is None else x if y is None else x + y
+
+
+def _sum(terms):
+    """Sum of the terms, None (a structural zero) if all of them are."""
+    total = None
+    for x in terms:
+        if x is not None:
+            total = x if total is None else total + x
+    return total
 
 
 def _gth_det(R, states: list[int], outside: list[int]):
@@ -132,50 +176,56 @@ def _gth_det(R, states: list[int], outside: list[int]):
     subtraction occurs and the minor is accurate to a few ulps
     (Grassmann, Taksar and Heyman, 1985; O'Cinneide, 1993).  With
     nonnegative rates a zero pivot means a closed class, whose minor is
-    zero; negative rates (invalid solver branches) lose the accuracy
-    guarantee but keep the algebra.  ``outside`` lists the states, the
-    observed one included, that are not in I.
+    zero; the elimination then goes on dividing by 1, which keeps every
+    number finite and, in a batch, leaves the other columns alone.
+    Negative rates (invalid solver branches) lose the accuracy guarantee
+    but keep the algebra.  Updates are skipped only at structural zeros
+    (None in ``R``), and entries are replaced, never updated in place,
+    since they may be the caller's arrays.  ``outside`` lists the
+    states, the observed one included, that are not in I.
     """
-    if len(states) == 1:  # a lone state's minor is its leak
-        return sum(R[states[0]][j] for j in outside)
     a = [[R[i][j] for j in states] for i in states]
-    leak = [sum(R[i][j] for j in outside) for i in states]
-    det = 1
+    leak = [_sum(R[i][j] for j in outside) for i in states]
+    det = None
     for p in range(len(states) - 1, -1, -1):
-        piv = leak[p] + sum(a[p][:p])
-        if piv == 0:
-            return piv
-        det = det * piv
+        piv = _add(leak[p], _sum(a[p][:p]))
+        if piv is None:  # no flow out of state p: a closed class
+            return 0
+        det = piv if det is None else det * piv
+        if p:
+            piv = piv + (piv == 0)
         for i in range(p):
+            if a[i][p] is None:
+                continue
             f = a[i][p] / piv
-            if f:
-                leak[i] += f * leak[p]
-                row = a[i]
-                for j in range(p):
-                    if j != i:
-                        row[j] += f * a[p][j]
+            if leak[p] is not None:
+                leak[i] = _add(leak[i], f * leak[p])
+            row = a[i]
+            for j in range(p):
+                if j != i and a[p][j] is not None:
+                    row[j] = _add(row[j], f * a[p][j])
     return det
 
 
 @functools.lru_cache(maxsize=None)
-def _minor_blocks(model) -> tuple[list[tuple], list[tuple]]:
-    """Connected state sets of the arc graph, and the components of
-    every nonempty subset of states.
+def _minor_blocks(n: int, arcs: tuple) -> tuple[list[tuple], list[tuple]]:
+    """Connected state sets of an arc graph on N hidden states, and the
+    components of every nonempty subset of states.
 
-    Returns ``(blocks, subsets)``.  ``blocks`` lists the sets of hidden
-    states whose arcs connect them, each with the states outside it, as
-    :func:`_gth_det` takes them; ``subsets`` holds, for the subset
+    ``arcs`` lists the pairs (i, j) of states, 0-based, that an arc
+    joins.  Returns ``(blocks, subsets)``.  ``blocks`` lists the sets of
+    hidden states whose arcs connect them, each with the states outside
+    it, as :func:`_gth_det` takes them; ``subsets`` holds, for the subset
     masks 1 .. 2^N - 1 in order, the subset's size, whether it avoids
     state N, and the indices in ``blocks`` of its components.  No arc
     joins two components, so a principal minor is the product of the
     minors of its components.
     """
-    n = model.n
     nbr = [0] * n
-    for src, dst, _ in models.arc_list(model):
-        if dst <= n:
-            nbr[src - 1] |= 1 << (dst - 1)
-            nbr[dst - 1] |= 1 << (src - 1)
+    for i, j in arcs:
+        if j < n:
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
     index: dict[int, int] = {}
     blocks = []
     subsets = []
@@ -204,52 +254,59 @@ def _minor_blocks(model) -> tuple[list[tuple], list[tuple]]:
     return blocks, subsets
 
 
-def _charpoly(model, R) -> tuple[list, list]:
+def _charpoly(R, arcs: tuple) -> tuple[list, list]:
     """Coefficients of det(x I - Qtilde) and det(x I - B), highest first.
 
     e_j (the j-th coefficient) is the sum of the j x j principal minors of
     -Qtilde, and d_j the same sum over minors that avoid state N, so that
     B is the leading (N-1)-block.  Each minor is a product of GTH minors
-    of connected state sets (:func:`_minor_blocks`), so all of them are
-    positive sums and products for nonnegative rates, and a chain of N
-    states needs N (N + 1) / 2 eliminations instead of 2^N - 1.
+    of connected state sets (:func:`_minor_blocks`) of the arcs of the
+    flow table ``R``, so all of them are positive sums and products
+    for nonnegative rates, and a chain of N states needs N (N + 1) / 2
+    eliminations instead of 2^N - 1.
     """
-    n = model.n
-    blocks, subsets = _minor_blocks(model)
+    n = len(R)
+    blocks, subsets = _minor_blocks(n, arcs)
     dets = [_gth_det(R, *block) for block in blocks]
-    e = [1] + [0] * n
-    d = [1] + [0] * (n - 1)
+    e = [1] + [None] * n
+    d = [1] + [None] * (n - 1)
     for size, avoids_n, comps in subsets:
         det = dets[comps[0]]
         for c in comps[1:]:
             det = det * dets[c]
-        e[size] += det
+        e[size] = _add(e[size], det)
         if avoids_n:
-            d[size] += det
+            d[size] = _add(d[size], det)
     return e, d
 
 
 def moment_vector(model, k) -> list:
     """(L_1..L_N, S_1..S_{N-1}) of the rates ``k`` in their own number type.
 
+    ``model`` and ``k`` are as :func:`_flow_table` takes them: one model
+    and one rate vector, or rates with a trailing batch axis and one model
+    per column, which gives each moment as an array over the batch, equal
+    in every column to the moment of that column alone.
     L_j = (-1)^j e_j with e_j from :func:`_charpoly`, and
     S_j = -k_N (Qtilde^(j-1))_NN.  For the three-state catalog only S_1 =
     -k_N and S_2 = k_N * (total out-rate of N) enter; for an unbranched
     chain every path term of (Qtilde^(j-1))_NN has the same sign because
     the graph is bipartite.  Either way no cancellation occurs.
     """
-    n = model.n
-    R = _flow_table(model, k)
-    e, _ = _charpoly(model, R)
-    out = [sum(row[:i]) + sum(row[i + 1:]) for i, row in enumerate(R)]
+    R, arcs = _flow_table(model, k)
+    n = len(R)
+    e, _ = _charpoly(R, arcs)
+    out = [_add(_sum(row[:i]), _sum(row[i + 1:])) for i, row in enumerate(R)]
     k_exit = R[n - 1][n]
-    u = [0] * (n - 1) + [1]  # row N of (hidden-state block of Q)^j
+    u = [None] * (n - 1) + [1]  # row N of (hidden-state block of Q)^j
     S = [-k_exit] if n > 1 else []
     for _ in range(n - 2):
-        u = [sum(u[i] * R[i][j] for i in range(n) if i != j) - u[j] * out[j]
+        u = [_add(_sum(u[i] * R[i][j] for i in range(n) if i != j
+                       and u[i] is not None and R[i][j] is not None),
+                  None if u[j] is None else -(u[j] * out[j]))
              for j in range(n)]
         S.append(-k_exit * u[n - 1])
-    return [(-1) ** j * e[j] for j in range(1, n + 1)] + S
+    return [-e[j] if j % 2 else e[j] for j in range(1, n + 1)] + S
 
 
 def _tridiagonal_params(gen: Generator) -> PhaseTypeParams | None:
@@ -381,8 +438,7 @@ def phase_type_params(gen: Generator) -> PhaseTypeParams:
         raise DegenerateSpectrum("spectrum is not real; no (lambda, A) form")
     n = gen.N
     e, d = (np.array(c, dtype=float)
-            for c in _charpoly(gen.model,
-                               _flow_table(gen.model, gen.rates.tolist())))
+            for c in _charpoly(*_flow_table(gen.model, gen.rates.tolist())))
     de = np.polyder(e)
     lam = spec.eigenvalues.copy()
     for _ in range(8):

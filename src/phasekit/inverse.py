@@ -10,14 +10,17 @@ Three solver paths are provided:
 * ``invert_unbranched``: numeric recursion for reversible chains
   1 <-> 2 <-> ... <-> N -> N+1 of any length.
 
-Every returned solution carries a forward round-trip residual; that
-residual, not the solver algebra, is the acceptance oracle.
+The first two also give their candidates unrefined
+(``generic_candidates``, ``thomas_candidates``), and ``make_solutions``
+Newton-refines the candidates of one input, whatever their models, in one
+batch.  Every returned solution carries a forward round-trip residual;
+that residual, not the solver algebra, is the acceptance oracle.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
@@ -56,16 +59,6 @@ class InverseSolution:
     def all_positive(self) -> bool:
         return bool(clearly_positive(self.rates))
 
-    def as_dict(self) -> dict:
-        return {
-            "model": str(self.model),
-            "rates": [float(x) for x in self.rates],
-            "branch": self.branch,
-            "residual": float(self.residual),
-            "free_params": {n: float(v) for n, v in self.free_params},
-            "all_positive": self.all_positive,
-        }
-
 
 def clearly_positive(k) -> np.ndarray:
     """Whether every rate along the first axis of ``k`` is positive.
@@ -97,81 +90,96 @@ def roundtrip_residual(model: models.ModelId, rates: np.ndarray,
     return float(np.max(np.abs(got - want) / _moment_denominators(want)))
 
 
-def _moment_scale(m: SymmetricMoments) -> float:
-    return 1.0 + float(np.max(np.abs(m.as_vector())))
+def _inverse(jac: np.ndarray) -> np.ndarray:
+    """Inverse of each stacked matrix, nan where one is singular."""
+    try:
+        return np.linalg.inv(jac)
+    except np.linalg.LinAlgError:
+        return (np.array([_inverse(mat) for mat in jac]) if jac.ndim > 2
+                else np.full_like(jac, np.nan))
 
 
-def _relative_jacobian(model, k: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """d(moment_i / denom_i) / d(log k_j) by complex-step differentiation.
+def make_solutions(m: SymmetricMoments, candidates) -> list[InverseSolution]:
+    """Solutions from the candidates for the input ``m``, each a tuple
+    (model, rates, branch, free parameters), all models of the same N,
+    refined by :func:`_polish` in one batch."""
+    if not candidates:
+        return []
+    batch, rates, branches, free = zip(*candidates)
+    k, res = _polish(batch, np.array(rates, dtype=float).T, m,
+                     [not f for f in free])
+    return [InverseSolution(*sol, float(e), tuple(f)) for *sol, e, f
+            in zip(batch, k.T.copy(), branches, res, free)]
 
-    The forward map is rational in the rates, so the imaginary part of
-    one evaluation at k_j (1 + i h) gives column j to working accuracy,
-    with no step-size trade-off.
+
+def _polish(batch, k: np.ndarray, m: SymmetricMoments,
+            fixed) -> tuple[np.ndarray, np.ndarray]:
+    """Newton-refine the rates ``k`` of the models ``batch``, one column
+    each, against the moments ``m``, all at once: the chord method of the
+    README's numerical conventions, one batched forward call per step.
+
+    Only the columns marked in ``fixed`` that are :func:`clearly_positive`
+    at their closed form are refined, as relative steps cannot make the
+    others valid, and only those whose float64 result may be off by more
+    than ``_FLOAT_POLISH_TOL`` are finished in extended precision.
+    Returns the rates and each column's :func:`roundtrip_residual`, which
+    the batched forward map gives bit for bit.
     """
-    h = 1e-20
-    jac = np.empty((denom.size, k.size))
-    for j in range(k.size):
-        kc = [complex(x) for x in k]
-        kc[j] *= complex(1.0, h)
-        jac[:, j] = [z.imag / h for z in direct.moment_vector(model, kc)]
-    return jac / denom[:, None]
-
-
-def _polish(model, rates, m: SymmetricMoments) -> tuple[np.ndarray, float]:
-    """Newton-refine a rate vector against the target moments.
-
-    Closed-form branch values lose digits when the rates span several
-    decades.  Newton on the relative residuals (moment_i / target_i - 1)
-    with steps relative to each rate runs in float64 until the residual
-    stops decreasing.  Every step reuses the Jacobian of the closed-form
-    start (a chord method): the start is close enough that the chord
-    converges in as few steps as Newton, at one forward evaluation per
-    step instead of six.  The error left by float64 rounding is bounded
-    by the last correction and by the Jacobian's condition number times
-    the few ulps to which the forward map is accurate; when that bound
-    exceeds ``_FLOAT_POLISH_TOL`` (an ill-conditioned input) the target
-    moments are taken as exact and the rates are refined against them in
-    extended precision, with the Jacobian evaluated again at the last
-    float64 iterate.  Returns the rates, the input unchanged whenever
-    refinement does not help, and their :func:`roundtrip_residual`,
-    taken from the last float64 residual where that is the same value.
-    """
-    target = m.as_vector()
+    target = m.as_vector()[:, None]
     denom = _moment_denominators(target)
-    k = np.asarray(rates, dtype=float)
-    # Steps are relative to each rate, so a zero rate cannot move.
-    if not np.all(np.isfinite(k)) or np.any(k == 0.0):
-        return k, roundtrip_residual(model, k, m)
 
-    def resid(x):
-        got = np.array(direct.moment_vector(model, x.tolist()), dtype=float)
-        return (got - target) / denom
+    def resid(cols, x):
+        got = direct.moment_vector([batch[c] for c in cols], x)
+        return (np.array(got, dtype=float) - target) / denom
 
-    r = resid(k)
-    jac = _relative_jacobian(model, k, denom)
-    try:
-        inv = np.linalg.inv(jac)
-    except np.linalg.LinAlgError:
-        return k, float(np.max(np.abs(r)))
-    for _ in range(8):
-        step = -inv @ r
-        trial = k * (1.0 + step)
-        r_trial = resid(trial)
-        if not np.all(np.isfinite(r_trial)) or (
-                np.max(np.abs(r_trial)) >= np.max(np.abs(r))):
-            break
-        k, r = trial, r_trial
-        if np.max(np.abs(step)) <= 4.0 * _EPS:
-            break
-    cond = np.linalg.norm(jac, np.inf) * np.linalg.norm(inv, np.inf)
-    if max(np.max(np.abs(step)), 4.0 * _EPS * cond) <= _FLOAT_POLISH_TOL:
-        return k, float(np.max(np.abs(r)))
-    try:
-        inv = np.linalg.inv(_relative_jacobian(model, k, denom))
-    except np.linalg.LinAlgError:
-        return k, float(np.max(np.abs(r)))
-    k = _polish_extended(model, k, target, denom, inv)
-    return k, roundtrip_residual(model, k, m)
+    def jacobian(cols):
+        # d(moment_i / denom_i) / d(log k_j) from the imaginary part of
+        # the (rational) forward map at k_j (1 + i h), all in one batch.
+        n, h = k.shape[0], 1e-20
+        kc = np.repeat(k[:, cols, None], n, axis=2).astype(complex)
+        kc[np.arange(n), :, np.arange(n)] *= complex(1.0, h)
+        got = direct.moment_vector([batch[c] for c in np.repeat(cols, n)],
+                                   kc.reshape(n, -1))
+        jac = np.array([z.imag / h for z in got]).reshape(-1, cols.size, n)
+        return (jac / denom[:, :, None]).transpose(1, 0, 2)
+
+    with np.errstate(all="ignore"):
+        r = resid(range(len(batch)), k)
+        res = np.max(np.abs(r), axis=0)
+        cols = np.flatnonzero(clearly_positive(k) & np.asarray(fixed))
+        if not cols.size:
+            return k, res
+        jac = jacobian(cols)
+        inv = _inverse(jac)
+        r = r[:, cols]
+        step = np.zeros_like(r)
+        live = np.arange(cols.size)
+        for _ in range(8):
+            step[:, live] = -(inv[live] @ r[:, live].T[:, :, None])[:, :, 0].T
+            trial = k[:, cols[live]] * (1.0 + step[:, live])
+            r_trial = resid(cols[live], trial)
+            took = np.all(np.isfinite(r_trial), axis=0) & ~(
+                np.max(np.abs(r_trial), axis=0)
+                >= np.max(np.abs(r[:, live]), axis=0))
+            k[:, cols[live[took]]] = trial[:, took]
+            r[:, live[took]] = r_trial[:, took]
+            live = live[took & (np.max(np.abs(step[:, live]), axis=0)
+                                > 4.0 * _EPS)]
+            if not live.size:
+                break
+        res[cols] = np.max(np.abs(r), axis=0)
+        last = np.max(np.abs(step), axis=0)
+        bound = 4.0 * _EPS * (np.linalg.norm(jac, np.inf, axis=(1, 2))
+                              * np.linalg.norm(inv, np.inf, axis=(1, 2)))
+        hand = cols[~(np.where(bound > last, bound, last)
+                      <= _FLOAT_POLISH_TOL)]
+        if not hand.size:
+            return k, res
+        for c, inv_c in zip(hand, _inverse(jacobian(hand))):
+            k[:, c] = _polish_extended(batch[c], k[:, c], target[:, 0],
+                                       denom[:, 0], inv_c)
+        res[hand] = np.max(np.abs(resid(hand, k[:, hand])), axis=0)
+    return k, res
 
 
 def _polish_extended(model, k, target, denom, inv) -> np.ndarray:
@@ -200,16 +208,6 @@ def _polish_extended(model, k, target, denom, inv) -> np.ndarray:
                 return np.array([float(x) for x in km])
             last = size
     return k
-
-
-def _make_solution(model, rates, branch, m, free=(), polish=True):
-    rates = np.asarray(rates, dtype=float)
-    if polish and not free:
-        rates, residual = _polish(model, rates, m)
-    else:
-        residual = roundtrip_residual(model, rates, m)
-    return InverseSolution(model=model, rates=rates, branch=branch,
-                           residual=residual, free_params=tuple(free))
 
 
 def _nonzero(what, value, terms):
@@ -357,20 +355,28 @@ def invert_generic(model: models.ModelId, m: SymmetricMoments,
     only that test, measured against its polynomial's term sizes, for
     inputs estimated from finite data.
     """
+    return make_solutions(m, generic_candidates(model, m, tol, k3_grid,
+                                                hypersurface_tol))
+
+
+def generic_candidates(model: models.ModelId, m: SymmetricMoments,
+                       tol: float = DEFAULT_TOL, k3_grid=DEFAULT_K3_GRID,
+                       hypersurface_tol: float | None = None
+                       ) -> list[tuple]:
+    """The solutions of :func:`invert_generic`, unpolished."""
     if model != models.M3:
         # As a batch of one: numpy's scalar powers can differ in the last
         # bit from its array loops, which the experiment's batches take.
         batch = SymmetricMoments(L=m.L[:, None], S=m.S[:, None])
         branches, checks = generic_branches(model.tag, batch)
         _raise_first_failure(checks)
-        return [_make_solution(model, np.ravel(rates),
-                               "generic" if len(branches) == 1
-                               else f"generic/root{j}", m)
-                for j, (rates, _) in enumerate(branches)]
+        return [(model, np.ravel(rates), "generic" if len(branches) == 1
+                 else f"generic/root{j}", ()) for j, (rates, _)
+                in enumerate(branches)]
 
     L1, L2, L3, S1, S2 = _three_state(m)
     G, G_terms = _family_condition(L1, L2, L3, S1, S2)
-    hs_band = tol * _moment_scale(m)
+    hs_band = tol * (1.0 + float(np.max(np.abs(m.as_vector()))))
     if hypersurface_tol is not None:
         hs_band = hypersurface_tol * (1.0 + G_terms)
     if abs(G) > hs_band:
@@ -380,14 +386,12 @@ def invert_generic(model: models.ModelId, m: SymmetricMoments,
     _raise_first_failure([_nonzero("S1", S1, abs(L1)),
                           _nonzero("S2", S2, S1 ** 2 + abs(L2))])
     k4 = (S1 ** 2 - S2) / S1
-    k5 = -S1
     out = []
     for k3 in k3_grid:
         k2 = L3 / (k3 * S1)
         k1 = -(k3 ** 2 * S1 * S2 + L3 * S2
                + (L2 * S1 ** 2 - L3 * S1) * k3) / (k3 * S1 * S2)
-        out.append(_make_solution(model, (k1, k2, k3, k4, k5),
-                                  "family", m, free=(("k3", k3),)))
+        out.append((model, (k1, k2, k3, k4, -S1), "family", (("k3", k3),)))
     return out
 
 
@@ -405,16 +409,18 @@ def invert_thomas(model: models.ModelId, m: SymmetricMoments,
     formulas reject.  Raises NoBranchMatches when no stratum accepts
     the input within tolerance.
     """
-    ms = _systems_for(model.tag)
-    branch_sols = simple_systems.solve_for_moments(ms, m.as_vector(),
-                                                   tol=tol,
-                                                   free_grid=free_grid)
-    out = []
-    for bs in branch_sols:
-        label = f"S{bs.system_index}/" + "".join(map(str, bs.branch))
-        out.append(_make_solution(model, bs.rate_vector(), label, m,
-                                  free=tuple(sorted(bs.free_values.items()))))
-    return out
+    return make_solutions(m, thomas_candidates(model, m, tol, free_grid))
+
+
+def thomas_candidates(model: models.ModelId, m: SymmetricMoments,
+                      tol: float = DEFAULT_TOL,
+                      free_grid=DEFAULT_K3_GRID) -> list[tuple]:
+    """The solutions of :func:`invert_thomas`, unpolished."""
+    branch_sols = simple_systems.solve_for_moments(
+        _systems_for(model.tag), m.as_vector(), tol=tol, free_grid=free_grid)
+    return [(model, bs.rate_vector(),
+             f"S{bs.system_index}/" + "".join(map(str, bs.branch)),
+             tuple(sorted(bs.free_values.items()))) for bs in branch_sols]
 
 
 def _lanczos_tridiagonal(lam: np.ndarray,
@@ -464,17 +470,11 @@ def invert_unbranched(N: int, p: PhaseTypeParams) -> InverseSolution:
     solved here by reorthogonalized Lanczos; the rates then unwind from
     the tridiagonal entries one position at a time.
     """
-    lam = np.asarray(p.lam, dtype=float)
-    A = np.asarray(p.A, dtype=float)
+    lam, A = p.lam, p.A  # float arrays, as PhaseTypeParams keeps them
     if lam.size != N:
         raise ValueError(f"expected {N} components, got {lam.size}")
 
     k_exit = float(-np.sum(A * lam))
-    if N == 1:
-        model = models.unbranched_chain(1)
-        m = symmetric_inputs(p)
-        return _make_solution(model, [k_exit], "chain", m)
-
     scale = float(np.max(np.abs(lam)))
     if abs(k_exit) <= 1e-12 * scale:
         raise ZeroPivot("exit rate k_N evaluates to zero")
@@ -505,5 +505,5 @@ def invert_unbranched(N: int, p: PhaseTypeParams) -> InverseSolution:
 
     model = models.unbranched_chain(N)
     rates = np.concatenate([k_plus, k_minus, [k_exit]])
-    m = symmetric_inputs(p)
-    return _make_solution(model, rates, "chain", m, polish=False)
+    return InverseSolution(model, rates, "chain", roundtrip_residual(
+        model, rates, symmetric_inputs(p)))

@@ -162,6 +162,9 @@ def enumerate_variants(p: PhaseTypeParams,
                        include_models=models.SOLVABLE_N3) -> VariantReport:
     """Invert the input under every requested model and attach markers.
 
+    The candidate solutions of all models (generic closed forms, or the
+    Thomas search where those fail) are polished together in one batch.
+
     Valid instances (real rates, all positive beyond the rounding band of
     :func:`inverse.clearly_positive`, whose no-exit chain has a unique
     positive steady state) get markers and enter the delta and
@@ -169,25 +172,25 @@ def enumerate_variants(p: PhaseTypeParams,
     and a marker failure is noted in ``diagnostics``.
     """
     m = inverse.symmetric_inputs(p)
-    instances: list[VariantInstance] = []
+    candidates = []
     diagnostics: dict[str, str] = {}
     for model in include_models:
         try:
-            sols = inverse.invert_generic(model, m)
+            candidates += inverse.generic_candidates(model, m)
         except _FALLBACK_ERRORS as exc:
             try:
-                sols = inverse.invert_thomas(model, m)
+                candidates += inverse.thomas_candidates(model, m)
             except (NoBranchMatches, *_FALLBACK_ERRORS) as exc2:
                 diagnostics[str(model)] = f"{exc}; {exc2}"
-                continue
-        for sol in sols:
-            mk = None
-            if sol.all_positive:
-                try:
-                    mk = markers(model, sol.rates)
-                except SingularSteadyState as exc:
-                    diagnostics[f"{model}/{sol.branch}"] = f"markers: {exc}"
-            instances.append(VariantInstance(sol, mk, mk is not None))
+    instances: list[VariantInstance] = []
+    for sol in inverse.make_solutions(m, candidates):
+        mk = None
+        if sol.all_positive:
+            try:
+                mk = markers(sol.model, sol.rates)
+            except SingularSteadyState as exc:
+                diagnostics[f"{sol.model}/{sol.branch}"] = f"markers: {exc}"
+        instances.append(VariantInstance(sol, mk, mk is not None))
 
     valid = [i for i in instances if i.valid]
     deltas = {}

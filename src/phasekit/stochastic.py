@@ -244,8 +244,9 @@ def fit_multiexp(
 
     The density is f(t) = sum_i (-A_i lambda_i) exp(lambda_i t) with the
     amplitudes summing to one.  Rates are optimized in log-magnitude
-    coordinates with the last amplitude eliminated; the best of
-    ``config.restarts`` quasi-Newton runs is returned.
+    coordinates with the last amplitude eliminated; of ``config.restarts``
+    quasi-Newton runs, the best whose density is positive at every gap is
+    returned.  Raises InvalidDensity when no run has such a density.
     """
     from scipy.optimize import minimize  # here: slow to import, fit only
 
@@ -260,43 +261,42 @@ def fit_multiexp(
     log_rate_lo = np.log(0.01 / np.max(t))
     log_rate_hi = np.log(100.0 / np.min(t))
     bounds = [(log_rate_lo, log_rate_hi)] * n + [(-10.0, 10.0)] * (n - 1)
-    best = None
-    best_nll = np.inf
-    used = 0
-    any_success = False
-    for theta0 in _initial_points(t, n, config):
-        used += 1
-        res = minimize(
-            _negloglik,
-            np.clip(theta0, [b[0] for b in bounds], [b[1] for b in bounds]),
-            args=(t, n),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": config.max_iter, "ftol": config.tol},
-        )
-        if res.fun < best_nll:
-            best_nll = res.fun
-            best = res
-            any_success = bool(res.success)
-        elif res.success and abs(res.fun - best_nll) <= 1e-9 * (1 + abs(best_nll)):
-            any_success = True
-    theta = best.x
-    lam = _distinct_rates(-np.exp(theta[:n]))
-    amps = np.empty(n)
-    amps[: n - 1] = theta[n:]
-    amps[n - 1] = 1.0 - np.sum(theta[n:])
-    f = np.exp(np.outer(t, lam)) @ (-amps * lam)
-    if np.any(f <= 0.0):
+    runs = [minimize(
+        _negloglik,
+        np.clip(theta0, [b[0] for b in bounds], [b[1] for b in bounds]),
+        args=(t, n),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=bounds,
+        options={"maxiter": config.max_iter, "ftol": config.tol},
+    ) for theta0 in _initial_points(t, n, config)]
+    # Best objective first, ties in restart order.  The penalty only
+    # pulls iterates back, so a run can end where the density is negative
+    # at some gap; the best run whose density is positive everywhere wins.
+    for best in sorted(range(len(runs)), key=lambda i: runs[i].fun):
+        res = runs[best]
+        lam = _distinct_rates(-np.exp(res.x[:n]))
+        amps = np.empty(n)
+        amps[: n - 1] = res.x[n:]
+        amps[n - 1] = 1.0 - np.sum(res.x[n:])
+        if not np.any(np.exp(np.outer(t, lam)) @ (-amps * lam) <= 0.0):
+            break
+    else:
         raise InvalidDensity(
-            "fitted density is nonpositive at some observed gaps"
+            "fitted density is nonpositive at some observed gaps in "
+            "every restart"
         )
+    # Converged: this run, or a later one with the same objective, says so.
+    tie = 1e-9 * (1 + abs(res.fun))
+    converged = bool(res.success) or any(
+        r.success and abs(r.fun - res.fun) <= tie for r in runs[best + 1:]
+    )
     params = PhaseTypeParams(lam=tuple(lam), A=tuple(amps))
     return FitResult(
         params=params,
-        log_likelihood=float(-best_nll),
-        converged=any_success,
-        n_restarts_used=used,
+        log_likelihood=float(-res.fun),
+        converged=converged,
+        n_restarts_used=len(runs),
     )
 
 

@@ -166,6 +166,16 @@ class TestPipeline:
         assert run(["pipeline", "--model", "M9", "--rates", "1,2,3,4,5",
                     "--n", 10, "--seed", 1]) == 2
 
+    def test_fit_skips_restarts_with_negative_density(self, tmp_path):
+        # The restart with the lowest penalised objective (-6716) has a
+        # density that is negative at some gaps; every feasible restart
+        # reaches a log-likelihood of -1172.386.
+        out = tmp_path / "pipe.json"
+        assert run(["pipeline", "--model", "M2", "--rates", "1,2,3,4,5",
+                    "--n", 3000, "--seed", 1533820977, "--out", out]) == 0
+        assert load(out)["fit"]["log_likelihood"] == pytest.approx(
+            -1172.386, abs=1e-3)
+
     def test_chain2_pipeline_is_typed_error(self, capsys):
         # The generic three-state formulas need three fitted components.
         assert run(["pipeline", "--model", "chain2", "--rates", "1,2,3",

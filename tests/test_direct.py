@@ -227,3 +227,55 @@ class TestForwardAccuracy:
         got = np.array(direct.moment_vector(model, k.tolist()), dtype=float)
         ref = np.array([float(x) for x in mp_moments(model, k)])
         np.testing.assert_allclose(got, ref, rtol=8 * EPS, atol=0.0)
+
+
+class TestBatchedForwardMap:
+    """moment_vector on rates with a trailing batch axis, one model per
+    column, against one scalar call per column."""
+
+    CATALOG = (models.M2, models.M4, models.M8, models.M9)
+
+    def scalar_columns(self, batch, k):
+        return np.array([direct.moment_vector(model, k[:, j].tolist())
+                         for j, model in enumerate(batch)]).T
+
+    def test_mixed_models_match_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        k = 10.0 ** rng.uniform(-2.0, 2.0, size=(5, 400))
+        k[rng.uniform(size=k.shape) < 0.15] *= -1.0  # invalid branches
+        batch = tuple(self.CATALOG[i] for i in rng.integers(0, 4, 400))
+        got = np.array(direct.moment_vector(batch, k))
+        np.testing.assert_array_equal(got, self.scalar_columns(batch, k))
+
+    def test_zero_pivot_zeroes_its_column_only(self):
+        # With k3 = k4 = k5 = 0 no flow leaves state 3 of M9, so the
+        # minors over {1, 3}, {2, 3} and {1, 2, 3} meet a zero pivot.
+        k = np.array([[1.0, 0.3, 1.0], [2.0, 2.0, 2.0], [0.0, 7.0, 3.0],
+                      [0.0, 0.5, 4.0], [0.0, 1.5, 5.0]])
+        batch = (models.M9, models.M2, models.M9)
+        with np.errstate(all="raise"):
+            got = np.array(direct.moment_vector(batch, k))
+        want = self.scalar_columns(batch, k)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(want[:, 0], [-3.0, 2.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(
+            got[:, 1:], np.array(direct.moment_vector(batch[1:], k[:, 1:])))
+
+    def test_caller_rates_unmodified(self):
+        rng = np.random.default_rng(3)
+        k = rng.uniform(0.1, 5.0, size=(5, 8))
+        rows = [row.copy() for row in k]
+        before = k.copy()
+        direct.moment_vector(self.CATALOG * 2, k)
+        direct.moment_vector(models.M9, rows)
+        np.testing.assert_array_equal(k, before)
+        np.testing.assert_array_equal(np.array(rows), before)
+        # A dense flow table, whose elimination updates every entry of
+        # the states left, keeps its arrays as well.
+        R = [[None if i == j else rng.uniform(0.1, 5.0, size=8)
+              for j in range(4)] for i in range(3)]
+        saved = [[None if x is None else x.copy() for x in row] for row in R]
+        direct._gth_det(R, [0, 1, 2], [3])
+        for row, old in zip(R, saved):
+            for x, y in zip(row, old):
+                assert x is None and y is None or np.array_equal(x, y)

@@ -159,8 +159,8 @@ class TestPolish:
     def test_one_jacobian_per_solution(self, monkeypatch):
         # A well-conditioned M9 input whose closed forms need two steps:
         # the polish takes one residual at the start, one complex-step
-        # Jacobian (five calls) and one call per step, and the stored
-        # residual needs no further call.
+        # Jacobian and one call per step, each batched over both
+        # solutions, and the stored residual needs no further call.
         model, m = forward_moments("M9", [0.3, 2.0, 7.0, 0.5, 1.5])
         forward = direct.moment_vector
         calls = []

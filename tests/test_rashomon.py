@@ -199,3 +199,54 @@ class TestExperiment:
         cfg = rashomon.ExperimentConfig(n_samples=2000, seed=7)
         report = rashomon.discrimination_experiment(cfg)
         assert 0.3 < report.retained_fraction < 0.9
+
+
+class TestBatchedPolish:
+    """enumerate_variants polishes the candidates of all four models in
+    one batch."""
+
+    RATES = [0.3, 2.0, 7.0, 0.5, 1.5]
+
+    def test_forward_calls_per_input(self, monkeypatch):
+        p = params_for("M9", self.RATES)
+        forward = direct.moment_vector
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return forward(*args)
+
+        monkeypatch.setattr(direct, "moment_vector", counted)
+        report = rashomon.enumerate_variants(p)
+        assert len(report.instances) == 7
+        assert len(calls) <= 8
+
+    @pytest.mark.parametrize("tag,rates", [
+        ("M9", RATES),
+        ("M8", [0.011295008395206122, 0.5359560150546294, 90.7269817444433,
+                0.08982790586779642, 0.022631436015290683]),
+        ("M9", LUMPABLE_M9),
+    ])
+    def test_residual_is_roundtrip_residual(self, tag, rates):
+        p = params_for(tag, rates)
+        m = inverse.symmetric_inputs(p)
+        for inst in rashomon.enumerate_variants(p).instances:
+            sol = inst.solution
+            assert sol.residual == inverse.roundtrip_residual(
+                sol.model, sol.rates, m)
+
+    def test_unpolished_when_not_clearly_positive(self):
+        p = params_for("M9", self.RATES)
+        m = inverse.symmetric_inputs(p)
+        batch = direct.SymmetricMoments(L=m.L[:, None], S=m.S[:, None])
+        skipped = 0
+        for inst in rashomon.enumerate_variants(p).instances:
+            sol = inst.solution
+            branches, _ = inverse.generic_branches(sol.model.tag, batch)
+            j = 0 if sol.branch == "generic" else int(sol.branch[-1])
+            closed = np.ravel(branches[j][0])
+            if not inverse.clearly_positive(closed):
+                np.testing.assert_array_equal(sol.rates, closed)
+                assert not inst.valid
+                skipped += 1
+        assert skipped == 2
