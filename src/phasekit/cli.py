@@ -16,6 +16,7 @@ or input errors, 3 no solution found.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -95,11 +96,15 @@ class _Manifest:
         }
 
 
-def _load_schema(name: str) -> dict:
-    text = (
-        resources.files("phasekit") / "schemas" / name
-    ).read_text()
-    return json.loads(text)
+@functools.lru_cache(maxsize=None)
+def _validator(name: str):
+    """The validator of a shipped schema, checked once per process."""
+    schema = json.loads(
+        (resources.files("phasekit") / "schemas" / name).read_text()
+    )
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _emit_json(payload: dict, schema_name: str, manifest: _Manifest,
@@ -107,7 +112,13 @@ def _emit_json(payload: dict, schema_name: str, manifest: _Manifest,
     payload = dict(payload)
     payload["manifest"] = manifest.as_dict()
     payload = _round17(payload)
-    jsonschema.validate(payload, _load_schema(schema_name))
+    # The error jsonschema.validate would raise, without re-checking the
+    # schema document on every report.
+    error = jsonschema.exceptions.best_match(
+        _validator(schema_name).iter_errors(payload)
+    )
+    if error is not None:
+        raise error
     text = json.dumps(payload, indent=2)
     if out:
         with open(out, "w") as fh:

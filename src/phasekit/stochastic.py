@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .direct import PhaseTypeParams, survival
+from .direct import PhaseTypeParams, density, survival
 from .errors import InvalidDensity, NonErgodic
 from .models import Generator, ModelId, validate
 
@@ -161,41 +161,40 @@ def _negloglik(theta: np.ndarray, t: np.ndarray, n: int):
 
     Parameters are packed as (log magnitudes of the rates, first n-1
     amplitudes); the last amplitude is fixed by the sum-to-one constraint.
+    With lambda_i = -exp(theta_i) and c = -A lambda, the density at the
+    gaps is f = E @ c for the one exponential table E = exp(t lambda).
+    Where f <= 0 a smooth penalty 1e6 f^2 + 1e3 replaces -log f, pulling
+    the iterate back into the feasible region.
+
+    The objective is sum_k phi(f_k), so its gradient is w @ df/dtheta
+    with w = phi'(f): -1/f, or 2e6 f at the penalized gaps.  Since
+    df/dtheta_i = c_i E_i (1 + lambda_i t) and df/dA_j = lambda_n E_n -
+    lambda_j E_j, every term comes from g1 = w @ E and g2 = (w t) @ E.
     """
     lam = -np.exp(theta[:n])
     a = np.empty(n)
     a[: n - 1] = theta[n:]
-    a[n - 1] = 1.0 - np.sum(theta[n:])
-    expo = np.exp(np.outer(t, lam))
-    coeff = -a * lam
-    f = expo @ coeff
+    a[n - 1] = 1.0 - theta[n:].sum()
+    c = -a * lam
+    expo = np.multiply.outer(t, lam)
+    np.exp(expo, out=expo)
+    f = expo @ c
     bad = f <= 0.0
-    if np.any(bad):
-        # Smooth penalty pulling the iterate back into the feasible region.
-        penalty = 1e6 * np.sum(np.square(f[bad])) + 1e3 * np.count_nonzero(bad)
+    if bad.any():
+        penalty = 1e6 * np.square(f[bad]).sum() + 1e3 * np.count_nonzero(bad)
         safe = np.where(bad, 1.0, f)
-        nll = -np.sum(np.log(safe)) + penalty
-        grad = np.zeros_like(theta)
+        nll = -np.log(safe).sum() + penalty
         with np.errstate(over="ignore", divide="ignore"):
             w = np.where(bad, 2e6 * f, -1.0 / safe)
         w = np.clip(w, -1e300, 1e300)
-        df_dtheta_lam = expo * (-a * (1.0 + np.outer(t, lam)) * lam)
-        grad[:n] = w @ df_dtheta_lam
-        df_da = expo[:, : n - 1] * (-lam[: n - 1]) - (
-            expo[:, n - 1] * (-lam[n - 1])
-        )[:, None]
-        grad[n:] = w @ df_da
-        return nll, grad
-    nll = -np.sum(np.log(f))
-    inv = 1.0 / f
-    # d f / d theta_i with lambda_i = -exp(theta_i).
-    df_dtheta_lam = expo * (-a * (1.0 + np.outer(t, lam)) * lam)
+    else:
+        nll = -np.log(f).sum()
+        w = -1.0 / f
+    g1 = w @ expo
+    g2 = (w * t) @ expo
     grad = np.empty_like(theta)
-    grad[:n] = -(inv @ df_dtheta_lam)
-    df_da = expo[:, : n - 1] * (-lam[: n - 1]) - (
-        expo[:, n - 1] * (-lam[n - 1])
-    )[:, None]
-    grad[n:] = -(inv @ df_da)
+    grad[:n] = c * (g1 + lam * g2)
+    grad[n:] = lam[n - 1] * g1[n - 1] - lam[: n - 1] * g1[: n - 1]
     return nll, grad
 
 
@@ -244,9 +243,11 @@ def fit_multiexp(
 
     The density is f(t) = sum_i (-A_i lambda_i) exp(lambda_i t) with the
     amplitudes summing to one.  Rates are optimized in log-magnitude
-    coordinates with the last amplitude eliminated; of ``config.restarts``
-    quasi-Newton runs, the best whose density is positive at every gap is
-    returned.  Raises InvalidDensity when no run has such a density.
+    coordinates with the last amplitude eliminated (see ``_negloglik``);
+    all ``config.restarts`` quasi-Newton runs use the full trace.  Of
+    those, the best by objective whose density is admissible is returned:
+    positive at t = 0, in the tail and at every gap.  Raises
+    InvalidDensity when no run is admissible.
     """
     from scipy.optimize import minimize  # here: slow to import, fit only
 
@@ -270,28 +271,32 @@ def fit_multiexp(
         bounds=bounds,
         options={"maxiter": config.max_iter, "ftol": config.tol},
     ) for theta0 in _initial_points(t, n, config)]
-    # Best objective first, ties in restart order.  The penalty only
-    # pulls iterates back, so a run can end where the density is negative
-    # at some gap; the best run whose density is positive everywhere wins.
+    # Best objective first, ties in restart order.  The penalty only acts
+    # at the gaps, so a run can end with a density that is negative at
+    # some gap, at t = 0 or in the tail; the best admissible run wins.
+    # With c = -A lambda, f(0) = sum(c), and the coefficient of the
+    # slowest rate sets the sign of the tail.
     for best in sorted(range(len(runs)), key=lambda i: runs[i].fun):
         res = runs[best]
         lam = _distinct_rates(-np.exp(res.x[:n]))
         amps = np.empty(n)
         amps[: n - 1] = res.x[n:]
         amps[n - 1] = 1.0 - np.sum(res.x[n:])
-        if not np.any(np.exp(np.outer(t, lam)) @ (-amps * lam) <= 0.0):
+        params = PhaseTypeParams(lam=lam, A=amps)
+        c = -amps * lam
+        if (c.sum() > 0.0 and c[np.argmax(lam)] > 0.0
+                and np.all(density(params, t) > 0.0)):
             break
     else:
         raise InvalidDensity(
-            "fitted density is nonpositive at some observed gaps in "
-            "every restart"
+            "no restart gives a density that is positive at t = 0, in the "
+            "tail and at every observed gap"
         )
     # Converged: this run, or a later one with the same objective, says so.
     tie = 1e-9 * (1 + abs(res.fun))
     converged = bool(res.success) or any(
         r.success and abs(r.fun - res.fun) <= tie for r in runs[best + 1:]
     )
-    params = PhaseTypeParams(lam=tuple(lam), A=tuple(amps))
     return FitResult(
         params=params,
         log_likelihood=float(-res.fun),

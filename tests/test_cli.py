@@ -2,9 +2,11 @@
 
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
+from phasekit import cli
 from phasekit.cli import main
 
 
@@ -175,6 +177,38 @@ class TestPipeline:
                     "--n", 3000, "--seed", 1533820977, "--out", out]) == 0
         assert load(out)["fit"]["log_likelihood"] == pytest.approx(
             -1172.386, abs=1e-3)
+
+    @pytest.mark.parametrize("model, seed, log_likelihood", [
+        # The best restart by objective pins an amplitude at -10 and has a
+        # rate of -3.3e5 with f(0) = -3.3e6 (log-likelihood 1562.3).
+        ("M9", 886374938, -834.629),
+        # The best restart by objective has a negative tail coefficient,
+        # -0.0126 at the slowest rate (log-likelihood 1934.3).
+        ("M2", 1438012291, -449.762),
+    ])
+    def test_fit_is_admissible(self, tmp_path, model, seed, log_likelihood):
+        out = tmp_path / "pipe.json"
+        assert run(["pipeline", "--model", model, "--rates", "1,2,3,4,5",
+                    "--n", 1000, "--seed", seed, "--out", out]) == 0
+        fit = load(out)["fit"]
+        lam, amps = np.array(fit["lam"]), np.array(fit["A"])
+        c = -amps * lam
+        assert c.sum() > 0.0
+        assert c[np.argmax(lam)] > 0.0
+        assert fit["log_likelihood"] == pytest.approx(log_likelihood,
+                                                      abs=1e-3)
+
+    def test_report_is_validated(self, tmp_path):
+        out = tmp_path / "pipe.json"
+        assert run(["pipeline", "--model", "M9", "--rates", "1,2,3,4,5",
+                    "--n", 1000, "--seed", 3, "--restarts", 2,
+                    "--out", out]) == 0
+        payload = load(out)
+        del payload["manifest"], payload["variants"]
+        with pytest.raises(jsonschema.ValidationError, match="'variants'"):
+            cli._emit_json(payload, "pipeline_report.schema.json",
+                           cli._Manifest([]), str(tmp_path / "bad.json"))
+        assert not (tmp_path / "bad.json").exists()
 
     def test_chain2_pipeline_is_typed_error(self, capsys):
         # The generic three-state formulas need three fitted components.

@@ -116,6 +116,66 @@ class TestFit:
             stochastic.fit_multiexp(trace, 3)
 
 
+def _nonpositive_gaps(theta, t, n):
+    lam = -np.exp(theta[:n])
+    amps = np.append(theta[n:], 1.0 - np.sum(theta[n:]))
+    return direct.density(direct.PhaseTypeParams(lam, amps), t) <= 0.0
+
+
+def _central_gradient(theta, t, n, h=1e-6):
+    """Central differences of the objective of ``fit_multiexp``.
+
+    The penalty counts the nonpositive gaps, so the objective is smooth
+    only while that set stays the same; every step checks that it does.
+    """
+    bad = _nonpositive_gaps(theta, t, n)
+    grad = np.empty_like(theta)
+    for i in range(theta.size):
+        step = np.zeros_like(theta)
+        step[i] = h
+        for moved in (theta + step, theta - step):
+            assert np.array_equal(_nonpositive_gaps(moved, t, n), bad)
+        hi, _ = stochastic._negloglik(theta + step, t, n)
+        lo, _ = stochastic._negloglik(theta - step, t, n)
+        grad[i] = (hi - lo) / (2 * h)
+    return grad
+
+
+def test_negloglik_gradient():
+    t = np.concatenate([np.linspace(0.05, 1.0, 40), np.linspace(1.1, 6.0, 60)])
+    rng = np.random.default_rng(11)
+    cases = [
+        # n = 1: c = -lambda > 0 always, so only an exponential that
+        # underflows to 0 reaches the penalty branch: here at every gap
+        # past 1.1, while f stays a normal number at the gaps up to 1.
+        (1, np.log([2.0]), False),
+        (1, np.log([0.3]), False),
+        (1, np.log([680.0]), True),
+        (3, np.array([np.log(5.0), np.log(2.0), np.log(0.5), 0.3, 0.3]),
+         False),
+        # f = 10 e^-5t - 3 e^-2t + 0.25 e^-t/2 is negative near t = 1.
+        (3, np.array([np.log(5.0), np.log(2.0), np.log(0.5), 2.0, -1.5]),
+         True),
+        # A pinned at the amplitude bound, negative in the tail.
+        (3, np.array([np.log(8.0), np.log(3.0), np.log(0.7), 10.0, -10.0]),
+         True),
+    ]
+    for _ in range(4):
+        log_rates = rng.uniform(-1.5, 2.5, 3)
+        # Positive amplitudes give a positive density.
+        cases.append((3, np.append(log_rates, rng.uniform(0.05, 0.45, 2)),
+                      False))
+        cases.append((3, np.append(log_rates, rng.uniform(-3.0, 3.0, 2)),
+                      None))
+    for n, theta, penalized in cases:
+        if penalized is not None:
+            assert _nonpositive_gaps(theta, t, n).any() == penalized
+        _, grad = stochastic._negloglik(theta, t, n)
+        want = _central_gradient(theta, t, n)
+        assert np.linalg.norm(grad - want) <= 1e-6 * np.linalg.norm(want), (
+            n, theta)
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         gen = m9_generator()
