@@ -15,7 +15,7 @@ import numpy as np
 from mpmath import mp
 
 from . import models
-from .errors import DegenerateSpectrum
+from .errors import DegenerateSpectrum, SingularSteadyState
 from .models import Generator, validate
 
 #: Relative eigenvalue separation below which the spectrum is treated as
@@ -307,6 +307,35 @@ def moment_vector(model, k) -> list:
              for j in range(n)]
         S.append(-k_exit * u[n - 1])
     return [-e[j] if j % 2 else e[j] for j in range(1, n + 1)] + S
+
+
+def no_exit_markers(model, k) -> tuple[list, list]:
+    """Lifetimes T_1..T_N and occupancies p_1..p_N of the chain without
+    its exit arc, in the number type of the rates ``k``.
+
+    ``model`` and ``k`` are as :func:`moment_vector` takes them, so each
+    marker is an array over a batch when the rates are.  T_i is 1 / (the
+    rate out of state i to the other hidden states); where that rate is
+    0 it is infinite for numpy numbers, while Python floats raise
+    ZeroDivisionError.  By the Markov chain tree theorem the
+    steady state p of the closed chain on the hidden states is
+    proportional to the principal minors det(-Q[I, I]) over the states I
+    other than i, which :func:`_gth_det` forms as sums of positive terms
+    for nonnegative rates: each p_i is then accurate to a few ulps
+    relative however far the rates spread, and a closed class gives an
+    exact 0.
+    """
+    R, _ = _flow_table(model, k)
+    n = len(R)
+    if n < 2:
+        raise SingularSteadyState("one state has no hidden out-rate")
+    R[n - 1][n] = None  # the exit arc
+    T = [1 / _sum(row[j] for j in range(n) if j != i)
+         for i, row in enumerate(R)]
+    minors = [_gth_det(R, [j for j in range(n) if j != i], [i, n])
+              for i in range(n)]
+    total = _sum(minors)
+    return T, [d / total for d in minors]
 
 
 def _tridiagonal_params(gen: Generator) -> PhaseTypeParams | None:

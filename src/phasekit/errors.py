@@ -50,7 +50,8 @@ class ZeroPivot(PhasekitError):
 
 
 class SingularSteadyState(PhasekitError):
-    """Steady-state null space is not one-dimensional."""
+    """The chain without its exit arc has a state without hidden out-rate
+    or no positive steady state, so its markers are undefined."""
 
 
 class DomainViolation(PhasekitError):

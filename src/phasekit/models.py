@@ -23,12 +23,6 @@ CATALOG_ARCS = {
     "M9": [(1, 3, 1), (2, 3, 2), (3, 1, 3), (3, 2, 4), (3, 4, 5)],
 }
 
-#: Rate correspondence mapping M2 rates onto chain rates, with the chain
-#: states (1, 2, 3) standing for the M2 states (2, 1, 3).  In chain order
-#: (k1+, k2+, k1-, k2-, k3) the M2 indices are (k3, k2, k1, k4, k5).
-M2_TO_CHAIN_STATE = {1: 2, 2: 1, 3: 3}
-
-
 @dataclass(frozen=True)
 class ModelId:
     """Identifier of a catalogued model.
@@ -211,13 +205,3 @@ def validate(gen: Generator) -> ValidationReport:
         msgs.append("return state differs from N")
     return ValidationReport(c1, c2, strong, s_is_n, msgs)
 
-
-def reduced_no_exit(gen: Generator) -> np.ndarray:
-    """Qtilde with the exit rate removed from the (N, N) entry.
-
-    The result is the transpose of a conservative generator on states
-    1..N, so its columns sum to zero.
-    """
-    red = gen.Qtilde.copy()
-    red[gen.N - 1, gen.N - 1] += gen.exit_rate
-    return red

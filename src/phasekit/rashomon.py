@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import inverse, models
+from . import direct, inverse, models
 from .direct import PhaseTypeParams, SymmetricMoments
 from .errors import (DomainViolation, GenericBranchMiss, M3HypersurfaceMiss,
                      NegativeDiscriminant, NoBranchMatches,
-                     SingularSteadyState, ZeroPivot)
+                     SingularSteadyState, WrongArity, ZeroPivot)
 
 
 @dataclass(frozen=True)
@@ -30,55 +30,28 @@ class Markers:
 
 
 def markers(model: models.ModelId, rates) -> Markers:
-    """Lifetimes from the no-exit generator diagonal and occupancies
-    from its one-dimensional null space (normalized to sum 1)."""
-    gen = models.build_generator(model, np.asarray(rates, dtype=float))
-    q_red = models.reduced_no_exit(gen)
-    diag = np.diag(q_red)
-    if np.any(diag >= 0.0):
-        raise SingularSteadyState("a state has no outgoing rate")
-    T = tuple(float(-1.0 / d) for d in diag)
+    """Lifetimes T_i and occupancies p_i of the no-exit chain, from
+    :func:`direct.no_exit_markers`.
 
-    u, s, vt = np.linalg.svd(q_red)
-    tol = max(q_red.shape) * np.abs(s[0]) * np.finfo(float).eps
-    null_dim = int(np.sum(s <= tol * 1e3 + 1e-300))
-    if null_dim != 1:
-        raise SingularSteadyState(
-            f"steady-state null space has dimension {null_dim}")
-    p = vt[-1]
-    p = p / p.sum()
-    if np.any(p <= 0.0):
-        raise SingularSteadyState("steady state has nonpositive components")
-    return Markers(T=T, p=tuple(float(x) for x in p))
-
-
-def _exact_markers(tag: str, k):
-    """Closed-form markers for the three-state catalog models.
-
-    Returns (T1, T2, T3, p1, p2, p3), elementwise when the rates are
-    arrays; used as an oracle against the null-space solver and as the
-    marker formula of the experiment.
+    Raises SingularSteadyState unless every T_i is finite and positive
+    and every p_i is positive.  For nonnegative rates that is exactly
+    when every state has a hidden out-rate and the no-exit chain has a
+    unique steady state, since a closed class gives an exact 0 in p.
     """
-    k1, k2, k3, k4, k5 = k
-    if tag in ("M2", "M4"):
-        T = (1.0 / (k1 + k2), 1.0 / k3, 1.0 / k4)
-        if tag == "M2":
-            tot = k3 * k4 + k1 * k4 + k2 * k3
-            p = (k3 * k4 / tot, k1 * k4 / tot, k2 * k3 / tot)
-        else:
-            tot = k1 * k3 + k2 * k3 + k1 * k4 + k3 * k4
-            p = (k3 * k4 / tot, k1 * k4 / tot, (k1 + k2) * k3 / tot)
-    elif tag == "M8":
-        T = (1.0 / k1, 1.0 / k2, 1.0 / (k3 + k4))
-        tot = k1 * k2 + k2 * k3 + k1 * k3 + k1 * k4
-        p = (k2 * k3 / tot, k1 * (k3 + k4) / tot, k1 * k2 / tot)
-    elif tag == "M9":
-        T = (1.0 / k1, 1.0 / k2, 1.0 / (k3 + k4))
-        tot = k1 * k2 + k2 * k3 + k1 * k4
-        p = (k2 * k3 / tot, k1 * k4 / tot, k1 * k2 / tot)
-    else:
-        raise ValueError(f"no closed-form markers for {tag}")
-    return T + p
+    k = np.asarray(rates, dtype=float)
+    if k.shape != (model.n_rates,):
+        raise WrongArity(f"{model} expects {model.n_rates} rates, "
+                         f"got {k.shape}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T, p = direct.no_exit_markers(model, k)
+    T = tuple(float(x) for x in T)
+    p = tuple(float(x) for x in p)
+    if not all(0.0 < x < np.inf for x in T):
+        raise SingularSteadyState("a state has no positive hidden out-rate")
+    if not all(x > 0.0 for x in p):
+        raise SingularSteadyState("the no-exit chain has no positive "
+                                  "steady state")
+    return Markers(T=T, p=p)
 
 
 def sigma_m9(rates) -> np.ndarray:
@@ -165,11 +138,15 @@ def enumerate_variants(p: PhaseTypeParams,
     The candidate solutions of all models (generic closed forms, or the
     Thomas search where those fail) are polished together in one batch.
 
-    Valid instances (real rates, all positive beyond the rounding band of
-    :func:`inverse.clearly_positive`, whose no-exit chain has a unique
-    positive steady state) get markers and enter the delta and
-    shared-invariant computations; invalid ones are kept for inspection,
-    and a marker failure is noted in ``diagnostics``.
+    An instance is valid exactly when its rates are real and all
+    positive beyond the rounding band of :func:`inverse.clearly_positive`
+    (:attr:`inverse.InverseSolution.all_positive`).  Every catalog chain
+    is irreducible, so positive rates always give it finite lifetimes and
+    a positive steady state: valid instances get :func:`markers` and
+    enter the delta and shared-invariant computations, and invalid ones
+    are kept, without markers, for inspection.  ``diagnostics`` notes the
+    models that neither the generic closed forms nor the Thomas search
+    could invert.
     """
     m = inverse.symmetric_inputs(p)
     candidates = []
@@ -182,15 +159,11 @@ def enumerate_variants(p: PhaseTypeParams,
                 candidates += inverse.thomas_candidates(model, m)
             except (NoBranchMatches, *_FALLBACK_ERRORS) as exc2:
                 diagnostics[str(model)] = f"{exc}; {exc2}"
-    instances: list[VariantInstance] = []
+    instances = []
     for sol in inverse.make_solutions(m, candidates):
-        mk = None
-        if sol.all_positive:
-            try:
-                mk = markers(sol.model, sol.rates)
-            except SingularSteadyState as exc:
-                diagnostics[f"{sol.model}/{sol.branch}"] = f"markers: {exc}"
-        instances.append(VariantInstance(sol, mk, mk is not None))
+        ok = sol.all_positive
+        instances.append(VariantInstance(
+            sol, markers(sol.model, sol.rates) if ok else None, ok))
 
     valid = [i for i in instances if i.valid]
     deltas = {}
@@ -276,7 +249,8 @@ def _retained_deltas(cfg: ExperimentConfig, m: SymmetricMoments):
 
     A variant is a generic-branch solution whose inequations hold and
     whose rates are all finite and positive beyond rounding, as for
-    :attr:`inverse.InverseSolution.all_positive`.  Returns a
+    :attr:`inverse.InverseSolution.all_positive`; its markers come from
+    :func:`direct.no_exit_markers`, as for :func:`markers`.  Returns a
     (3, n_retained) array, one column per sample with at least one valid
     variant.
     """
@@ -287,7 +261,8 @@ def _retained_deltas(cfg: ExperimentConfig, m: SymmetricMoments):
         for tag in cfg.models:
             for rates, ok in inverse.generic_branches(tag, m)[0]:
                 keep = ok & inverse.clearly_positive(rates)
-                T1, T2, _, p1, _, _ = _exact_markers(tag, rates)
+                (T1, T2, _), (p1, _, _) = direct.no_exit_markers(
+                    models.ModelId(tag), rates)
                 marks = np.array([p1, np.log10(T1), np.log10(T2)])
                 low = np.where(keep, np.minimum(low, marks), low)
                 high = np.where(keep, np.maximum(high, marks), high)

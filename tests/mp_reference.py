@@ -96,3 +96,58 @@ def mp_phase_type_params(model, k) -> tuple[np.ndarray, np.ndarray]:
             amps.append(-k_exit * minor / denom)
         return (np.array([float(x) for x in lam]),
                 np.array([float(x) for x in amps]))
+
+
+def mp_closed_form_markers(tag, k) -> list:
+    """(T1, T2, T3, p1, p2, p3) of M2, M4, M8 or M9 as mpmath numbers.
+
+    T_i = 1 / (hidden out-rate of state i); p_i is the spanning-tree sum
+    of the chain without its exit arc rooted at state i, over the sum of
+    all three, written out by hand for each model.
+    """
+    with mp.workdps(DPS):
+        k1, k2, k3, k4, _ = (mp.mpf(float(x)) for x in k)
+        if tag in ("M2", "M4"):
+            T = [1 / (k1 + k2), 1 / k3, 1 / k4]
+            if tag == "M2":
+                trees = [k3 * k4, k1 * k4, k2 * k3]
+            else:
+                trees = [k3 * k4, k1 * k4, (k1 + k2) * k3]
+        elif tag == "M8":
+            T = [1 / k1, 1 / k2, 1 / (k3 + k4)]
+            trees = [k2 * k3, k1 * (k3 + k4), k1 * k2]
+        elif tag == "M9":
+            T = [1 / k1, 1 / k2, 1 / (k3 + k4)]
+            trees = [k2 * k3, k1 * k4, k1 * k2]
+        else:
+            raise ValueError(f"no closed-form markers for {tag}")
+        total = mp.fsum(trees)
+        return T + [t / total for t in trees]
+
+
+def mp_no_exit_markers(model, k) -> list:
+    """(T_1..T_N, p_1..p_N) of any model as mpmath numbers.
+
+    Drops the exit arc from the generator, takes T_i = -1 / Q_ii, and
+    solves p Q = 0 with the last balance equation replaced by
+    sum(p) = 1, by dense LU.
+    """
+    n = model.n
+    with mp.workdps(DPS):
+        Qt, k_exit = _qtilde(model, k)
+        Qt[n - 1, n - 1] += k_exit  # Qt is Q transposed: rows are balances
+        a = mp.matrix(Qt)
+        b = mp.matrix(n, 1)
+        for j in range(n):
+            a[n - 1, j] = 1
+        b[n - 1] = 1
+        p = mp.lu_solve(a, b)
+        return [-1 / Qt[i, i] for i in range(n)] + [p[i] for i in range(n)]
+
+
+def rel_error_eps(got, want) -> float:
+    """Largest |got_i - want_i| / |want_i| in units of float64 eps."""
+    with mp.workdps(DPS):
+        worst = max(abs(mp.mpf(float(g)) - w) / abs(w)
+                    for g, w in zip(got, want))
+        return float(worst) / float(np.finfo(float).eps)

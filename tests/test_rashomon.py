@@ -5,13 +5,21 @@ import pytest
 
 from phasekit import direct, inverse, models, rashomon
 from phasekit.errors import (DomainViolation, GenericBranchMiss,
-                             NegativeDiscriminant)
+                             NegativeDiscriminant, SingularSteadyState)
+
+from mp_reference import (mp_closed_form_markers, mp_no_exit_markers,
+                          rel_error_eps)
 
 
 M9_RATES = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
 #: Lumpable M9 rates (k1 = k2), from the variants benchmark inputs.
 LUMPABLE_M9 = [6.436347528366836, 6.436347528366836, 1.0508460580421164,
                4.414599337967416, 0.6003726803842672]
+#: Lumpable M9 rates, also from the variants benchmark inputs, whose M8
+#: Thomas solution S3/00000 has k3 at 127.5 eps of its largest rate.
+LUMPABLE_M9_K3 = [0.23748954533683428, 0.23748954533683428,
+                  11.467584218175574, 75.86419643542978,
+                  0.019443050680591042]
 
 
 def params_for(tag, rates):
@@ -41,9 +49,33 @@ class TestMarkers:
     def test_against_closed_forms(self, tag, rates):
         model = models.model_from_string(tag)
         mk = rashomon.markers(model, rates)
-        ref = rashomon._exact_markers(tag, rates)
+        ref = [float(x) for x in mp_closed_form_markers(tag, rates)]
         np.testing.assert_allclose(mk.T, ref[:3], rtol=1e-10)
         np.testing.assert_allclose(mk.p, ref[3:], rtol=1e-10)
+
+    @pytest.mark.parametrize("tag", ["M2", "M4", "M8", "M9"]
+                             + [f"chain{n}" for n in range(2, 9)])
+    def test_few_ulps_relative(self, tag):
+        # Every lifetime and occupancy is within 8 eps, relative, of its
+        # 50-digit value on rates spanning four decades.
+        model = models.model_from_string(tag)
+        oracle = (mp_no_exit_markers if model.tag == "chain"
+                  else lambda model, k: mp_closed_form_markers(tag, k))
+        rng = np.random.default_rng(9)
+        worst = 0.0
+        for _ in range(200):
+            k = 10.0 ** rng.uniform(-2.0, 2.0, size=model.n_rates)
+            mk = rashomon.markers(model, k)
+            worst = max(worst, rel_error_eps(mk.T + mk.p, oracle(model, k)))
+        assert worst <= 8.0
+
+    @pytest.mark.parametrize("rates", [
+        [1.0, 2.0, 0.0, 0.0, 5.0],  # state 3 has no hidden out-rate
+        [1.0, 2.0, 0.0, 4.0, 5.0],  # states 2, 3 form a closed class
+    ])
+    def test_undefined_markers_raise(self, rates):
+        with pytest.raises(SingularSteadyState):
+            rashomon.markers(models.M9, rates)
 
     def test_occupancies_sum_to_one(self):
         mk = rashomon.markers(models.M4, [1.0, 1.5, 4.0, 3.0, 5.0])
@@ -118,18 +150,24 @@ class TestEnumerateVariants:
         assert report.deltas["p3"] < 1e-8
 
     def test_lumpable_m9_keeps_report(self):
-        # k1 = k2: the Thomas solution of M8 has k3 zero to within
-        # rounding, so its no-exit chain may have no positive steady
-        # state.  That instance becomes invalid instead of losing the
-        # whole report.
-        report = rashomon.enumerate_variants(params_for("M9", LUMPABLE_M9))
-        assert report.n_valid >= 1
-        for inst in report.instances:
-            if not inst.valid and inst.solution.all_positive:
-                key = f"{inst.solution.model}/{inst.solution.branch}"
-                assert report.diagnostics[key].startswith("markers: ")
-        for name in ("k5", "T3", "p3"):
-            assert report.constraint_spreads[name] < 1e-8
+        # k1 = k2.  Validity is positivity of the rates beyond the
+        # rounding band and nothing else: every positive solution has
+        # markers.  On the second input the M8 Thomas solution has k3 at
+        # 127.5 eps of its largest rate, outside the band, so it is a
+        # valid variant with p1 > 0.
+        for rates in (LUMPABLE_M9, LUMPABLE_M9_K3):
+            report = rashomon.enumerate_variants(params_for("M9", rates))
+            for inst in report.instances:
+                assert inst.valid == inst.solution.all_positive
+                assert (inst.markers is not None) == inst.valid
+            assert not any(v.startswith("markers:")
+                           for v in report.diagnostics.values())
+            for name in ("k5", "T3", "p3"):
+                assert report.constraint_spreads[name] < 1e-8
+        m8, = [inst for inst in report.instances
+               if str(inst.solution.model) == "M8"
+               and inst.solution.branch == "S3/00000"]
+        assert m8.valid and m8.markers.p[0] > 0.0
 
     def test_lumpable_m9_rounding_zero_rates_invalid(self):
         # The M2 generic and M4 Thomas solutions have k1 ~ 3e-15 here, an
