@@ -135,7 +135,7 @@ def _parse_floats(text: str) -> np.ndarray:
 
 
 def _params_from_args(args) -> direct.PhaseTypeParams:
-    if getattr(args, "moments", None):
+    if getattr(args, "moments", None) or args.lam is None or args.A is None:
         raise PhasekitError("this command needs --lambda and --A")
     lam = _parse_floats(args.lam)
     amps = _parse_floats(args.A)

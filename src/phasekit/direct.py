@@ -22,7 +22,6 @@ from .models import Generator, validate
 #: degenerate, and relative imaginary-part threshold for realness.
 TOL_SEP = 1e-8
 TOL_IM = 1e-10
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -338,150 +337,47 @@ def no_exit_markers(model, k) -> tuple[list, list]:
     return T, [d / total for d in minors]
 
 
-def _tridiagonal_params(gen: Generator) -> PhaseTypeParams | None:
-    """(lambda, A) through the symmetrized tridiagonal eigenproblem.
-
-    When the reduced matrix is an unbranched chain (tridiagonal with
-    strictly positive couplings) it is similar to a symmetric
-    tridiagonal matrix, whose eigenvectors carry far better relative
-    accuracy for tiny components than a dense nonsymmetric solve.
-    Returns None when the structure does not apply.
-    """
-    n = gen.N
-    if n < 2:
-        return None
-    mat = gen.Qtilde.T
-    mask = np.ones((n, n), dtype=bool)
-    for off in (-1, 0, 1):
-        mask &= ~np.eye(n, k=off, dtype=bool)
-    if np.any(mat[mask] != 0.0):
-        return None
-    upper = np.diag(mat, 1)
-    lower = np.diag(mat, -1)
-    if np.any(upper <= 0.0) or np.any(lower <= 0.0):
-        return None
-
-    import scipy.linalg  # here: it would double the package's import time
-
-    a = np.diag(mat).copy()
-    lam, vecs = scipy.linalg.eigh_tridiagonal(a, np.sqrt(upper * lower))
-    scale = float(np.max(np.abs(lam), initial=1.0))
-    if np.min(np.diff(lam)) <= TOL_SEP * scale:
-        raise DegenerateSpectrum("chain eigenvalues are not separated")
-    peaks = [int(np.argmax(np.abs(vecs[:, i]))) for i in range(n)]
-    lam, amps = _chain_params_extended(upper, lower, gen.exit_rate,
-                                       lam, peaks)
-    return PhaseTypeParams(lam, amps).sorted()
-
-
-def _chain_params_extended(upper: np.ndarray, lower: np.ndarray,
-                           k_exit: float, lam0: np.ndarray,
-                           peaks: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Refine chain eigenvalues and amplitudes in extended precision.
-
-    The chain matrix is similar to the symmetric tridiagonal with
-    couplings sqrt(upper * lower); the coupling products and the
-    diagonal (minus each state's total out-rate) are formed from the
-    rates in extended precision, so the similarity stays exact to
-    working accuracy.  A float64 diagonal would not do: one ulp in it
-    moves an eigenvalue far smaller than the rates by O(1) in relative
-    terms, and the amplitudes with it.  Each eigenvalue is polished by
-    Newton on the Sturm characteristic recurrence, the eigenvector is
-    rebuilt by a two-sided three-term recurrence joined at its peak
-    component (both halves then run in their growing, stable direction),
-    and the amplitude follows from the absorption-density identity
-    A_i = -k_exit w_i / lambda_i with w_i the squared normalized last
-    component.  Results are rounded back to float64.
-    """
-    n = lam0.size
-    with mp.workdps(60):
-        up = [mp.mpf(float(u)) for u in upper] + [mp.mpf(0)]
-        down = [mp.mpf(0)] + [mp.mpf(float(x)) for x in lower]
-        k_mp = mp.mpf(float(k_exit))
-        am = [-(up[m] + down[m]) for m in range(n)]
-        am[n - 1] -= k_mp
-        bm = [mp.sqrt(u * l) for u, l in zip(up[:-1], down[1:])]
-        lam_out = np.empty(n)
-        amp_out = np.empty(n)
-        for i in range(n):
-            lam = mp.mpf(float(lam0[i]))
-            for _ in range(60):
-                p_prev, p = mp.mpf(1), lam - am[0]
-                dp_prev, dp = mp.mpf(0), mp.mpf(1)
-                for m in range(1, n):
-                    p_new = (lam - am[m]) * p - bm[m - 1] ** 2 * p_prev
-                    dp_new = (p + (lam - am[m]) * dp
-                              - bm[m - 1] ** 2 * dp_prev)
-                    p_prev, p = p, p_new
-                    dp_prev, dp = dp, dp_new
-                if dp == 0:
-                    break
-                step = p / dp
-                lam -= step
-                if abs(step) <= abs(lam) * mp.mpf(10) ** -55:
-                    break
-            peak = peaks[i]
-            v = [mp.mpf(0)] * n
-            v[n - 1] = mp.mpf(1)
-            if n > 1:
-                v[n - 2] = (lam - am[n - 1]) / bm[n - 2]
-            for m in range(n - 2, peak, -1):
-                v[m - 1] = ((lam - am[m]) * v[m]
-                            - bm[m] * v[m + 1]) / bm[m - 1]
-            if peak > 0:
-                fwd = [mp.mpf(0)] * (peak + 1)
-                fwd[0] = mp.mpf(1)
-                if peak >= 1:
-                    fwd[1] = (lam - am[0]) / bm[0]
-                for m in range(1, peak):
-                    fwd[m + 1] = ((lam - am[m]) * fwd[m]
-                                  - bm[m - 1] * fwd[m - 1]) / bm[m]
-                ratio = v[peak] / fwd[peak]
-                for m in range(peak):
-                    v[m] = fwd[m] * ratio
-            weight = v[-1] ** 2 / mp.fsum(x * x for x in v)
-            lam_out[i] = float(lam)
-            amp_out[i] = float(-k_mp * weight / lam)
-    return lam_out, amp_out
-
-
 def phase_type_params(gen: Generator) -> PhaseTypeParams:
     """Survival parameters (lambda, A) for a validated generator.
 
-    Unbranched-chain generators go through a symmetrized tridiagonal
-    eigenproblem.  Otherwise the eigenvalues of a dense solve are
-    Newton-polished on the subtraction-free characteristic polynomial,
-    which restores the relative accuracy of eigenvalues far smaller than
-    the rates, and the amplitudes follow from the closed form
+    One path for every model, chains and N = 1 included.  A dense
+    eigensolve gives start values and the checks that the spectrum is
+    real and separated.  In 60-digit arithmetic each eigenvalue is then
+    refined by Newton on det(x I - Qtilde) from :func:`_charpoly`, whose
+    coefficients are subtraction-free sums of GTH minors of the exact
+    rates, so an eigenvalue far smaller than the rates keeps its
+    relative accuracy.  The amplitudes follow from the closed form
     A_i = -k_exit D_N(lambda_i) / (lambda_i prod_{j != i}(lambda_i - lambda_j))
-    with D_N(x) = det(x I - B) from the same principal minors.
+    with D_N(x) = det(x I - B) from the same minors, and both are rounded
+    to float64 at the end.
     """
     report = validate(gen)
     if not report.s_equals_N:
         raise ValueError("phase-type parameters require return state N")
-    tri = _tridiagonal_params(gen)
-    if tri is not None:
-        return tri
     spec = spectrum(gen)
     if not spec.is_real_distinct:
         raise DegenerateSpectrum("spectrum is not real; no (lambda, A) form")
-    n = gen.N
-    e, d = (np.array(c, dtype=float)
-            for c in _charpoly(*_flow_table(gen.model, gen.rates.tolist())))
-    de = np.polyder(e)
-    lam = spec.eigenvalues.copy()
-    for _ in range(8):
-        step = np.polyval(e, lam) / np.polyval(de, lam)
-        lam -= step
-        if np.all(np.abs(step) <= 4.0 * _EPS * np.abs(lam)):
-            break
-
-    amps = np.empty(n)
-    for i in range(n):
-        denom = lam[i] * np.prod([lam[i] - lam[j] for j in range(n) if j != i])
-        amps[i] = -gen.exit_rate * np.polyval(d, lam[i]) / denom
-
-    return PhaseTypeParams(lam, amps).sorted()
+    with mp.workdps(60):
+        R, arcs = _flow_table(gen.model, list(map(mp.mpf, gen.rates.tolist())))
+        e, d = _charpoly(R, arcs)
+        k_exit = R[-1][-1]
+        # Newton squares the error: after a step this small, the next one
+        # would fall below 60 digits.
+        small = mp.mpf(10) ** -40
+        lam = []
+        for x in map(mp.mpf, spec.eigenvalues.tolist()):
+            for _ in range(60):
+                p, dp = mp.polyval(e, x, derivative=True)
+                step = p / dp
+                x -= step
+                if abs(step) <= small * abs(x):
+                    break
+            lam.append(x)
+        amps = [-k_exit * mp.polyval(d, x)
+                / (x * mp.fprod(x - y for y in lam[:i] + lam[i + 1:]))
+                for i, x in enumerate(lam)]
+        return PhaseTypeParams([float(x) for x in lam],
+                               [float(a) for a in amps]).sorted()
 
 
 def survival(p: PhaseTypeParams, t):
@@ -511,19 +407,6 @@ def elementary_symmetric(lam) -> np.ndarray:
         for k in range(len(lam), 0, -1):
             e[k] = e[k] + x * e[k - 1]
     return e[1:]
-
-
-def homogeneous_symmetric(lam, m: int) -> float:
-    """Complete homogeneous symmetric polynomial h_m(lam); h_0 = 1."""
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    lam = np.asarray(lam, dtype=float)
-    h = np.zeros(m + 1)
-    h[0] = 1.0
-    for x in lam:
-        for k in range(1, m + 1):
-            h[k] = h[k] + x * h[k - 1]
-    return float(h[m])
 
 
 def moments(p: PhaseTypeParams) -> SymmetricMoments:

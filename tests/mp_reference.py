@@ -81,13 +81,15 @@ def mp_phase_type_params(model, k) -> tuple[np.ndarray, np.ndarray]:
     """(lambda, A) sorted by descending lambda, rounded to float64.
 
     A_i = -k_N det(lambda_i I - B) / (lambda_i prod_{j != i}(lambda_i -
-    lambda_j)) with B the leading (N-1)-block of Qtilde.
+    lambda_j)) with B the leading (N-1)-block of Qtilde.  On a 1 x 1
+    matrix mpmath's ``eig`` returns its vectors too, whatever ``left``
+    and ``right`` say, so N = 1 reads the eigenvalue off the matrix.
     """
     n = model.n
     with mp.workdps(DPS):
         Qt, k_exit = _qtilde(model, k)
-        lam = sorted((mp.re(x) for x in mp.eig(Qt, left=False, right=False)),
-                     reverse=True)
+        eigs = [Qt[0, 0]] if n == 1 else mp.eig(Qt, left=False, right=False)
+        lam = sorted((mp.re(x) for x in eigs), reverse=True)
         amps = []
         for i, x in enumerate(lam):
             minor = (mp.det(x * mp.eye(n - 1) - Qt[:n - 1, :n - 1])

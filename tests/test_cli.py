@@ -92,6 +92,17 @@ class TestExitCodes:
     def test_bad_input_is_exit_2(self):
         assert run(["invert", "--model", "M9", "--moments", "1,2"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["variants"],
+        ["invert", "--model", "M9", "--lambda=-1,-2,-3"],
+    ])
+    def test_missing_survival_flags_is_exit_2(self, args, capsys):
+        # Neither --lambda/--A nor --moments, or --lambda without --A.
+        assert run(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PhasekitError"
+        assert "--lambda and --A" in err["message"]
+
     def test_missing_file_is_exit_2(self, tmp_path):
         assert run(["fit", "--trace", tmp_path / "nope.csv",
                     "--components", 2]) == 2

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from phasekit import direct, models
 from phasekit.errors import DegenerateSpectrum
 
-from mp_reference import mp_moments, mp_phase_type_params
+from mp_reference import mp_moments, mp_phase_type_params, rel_error_eps
 
 
 RATES = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -119,11 +119,6 @@ class TestSymmetricFunctions:
         np.testing.assert_allclose(
             esp, [-ref[1], ref[2], -ref[3]], rtol=1e-14)
 
-    def test_homogeneous_symmetric(self):
-        lam = np.array([2.0, 3.0])
-        # h_2(x, y) = x^2 + xy + y^2
-        assert np.isclose(direct.homogeneous_symmetric(lam, 2), 19.0)
-
     def test_moments_consistency(self):
         gen = models.build_generator(models.M9, RATES)
         p = direct.phase_type_params(gen)
@@ -181,10 +176,15 @@ def test_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(direct.__file__))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, phasekit; print('scipy' in sys.modules)"],
+         "import sys, phasekit as pk\n"
+         "print('scipy' in sys.modules)\n"
+         "pk.phase_type_params(pk.build_generator(pk.unbranched_chain(4),\n"
+         "                                        range(1, 8)))\n"
+         "print('scipy' in sys.modules)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    # Nor does the forward map of a chain load it.
+    assert out.stdout.split() == ["False", "False"]
 
 
 class TestForwardAccuracy:
@@ -215,6 +215,26 @@ class TestForwardAccuracy:
         lam, amps = mp_phase_type_params(model, k)
         np.testing.assert_allclose(p.lam, lam, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(p.A, amps, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("model, draws", [
+        *((models.model_from_string(tag), 200)
+          for tag in ("M2", "M3", "M4", "M8", "M9")),
+        *((models.unbranched_chain(n), 30) for n in range(1, 9)),
+    ], ids=str)
+    def test_params_match_extended_precision(self, model, draws):
+        # Rates over four decades.  Every model takes the same path: 60-digit
+        # Newton on the GTH characteristic polynomial, then the closed-form
+        # amplitudes, so each lambda_i and A_i is good to a few eps.
+        rng = np.random.default_rng(list(str(model).encode()))  # per model
+        for _ in range(draws):
+            k = 10.0 ** rng.uniform(-2.0, 2.0, size=model.n_rates)
+            try:
+                p = direct.phase_type_params(models.build_generator(model, k))
+            except DegenerateSpectrum:  # complex or unseparated spectrum
+                continue
+            lam, amps = mp_phase_type_params(model, k)
+            assert rel_error_eps(p.lam, lam) <= 8.0, k
+            assert rel_error_eps(p.A, amps) <= 8.0, k
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_chain_moments_match_extended_precision(self, n):
