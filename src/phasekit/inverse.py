@@ -19,7 +19,6 @@ that residual, not the solver algebra, is the acceptance oracle.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -395,29 +394,22 @@ def generic_candidates(model: models.ModelId, m: SymmetricMoments,
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _systems_for(tag: str) -> simple_systems.ModelSystems:
-    return simple_systems.load_systems(tag)
-
-
-def invert_thomas(model: models.ModelId, m: SymmetricMoments,
-                  tol: float = DEFAULT_TOL,
-                  free_grid=DEFAULT_K3_GRID) -> list[InverseSolution]:
+def invert_thomas(model: models.ModelId,
+                  m: SymmetricMoments) -> list[InverseSolution]:
     """Full branch search over the encoded triangular decomposition.
 
     Handles every stratum, including the degenerate ones the generic
     formulas reject.  Raises NoBranchMatches when no stratum accepts
     the input within tolerance.
     """
-    return make_solutions(m, thomas_candidates(model, m, tol, free_grid))
+    return make_solutions(m, thomas_candidates(model, m))
 
 
-def thomas_candidates(model: models.ModelId, m: SymmetricMoments,
-                      tol: float = DEFAULT_TOL,
-                      free_grid=DEFAULT_K3_GRID) -> list[tuple]:
+def thomas_candidates(model: models.ModelId,
+                      m: SymmetricMoments) -> list[tuple]:
     """The solutions of :func:`invert_thomas`, unpolished."""
     branch_sols = simple_systems.solve_for_moments(
-        _systems_for(model.tag), m.as_vector(), tol=tol, free_grid=free_grid)
+        simple_systems.load_systems(model.tag), m.as_vector())
     return [(model, bs.rate_vector(),
              f"S{bs.system_index}/" + "".join(map(str, bs.branch)),
              tuple(sorted(bs.free_values.items()))) for bs in branch_sols]

@@ -15,6 +15,7 @@ the numeric solutions of the matched system.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -29,8 +30,10 @@ VAR_NAMES = ("k1", "k2", "k3", "k4", "k5", "L1", "L2", "L3", "S1", "S2")
 RATE_VARS = VAR_NAMES[:5]
 MOMENT_VARS = VAR_NAMES[5:]
 
-DEFAULT_TOL = 1e-9
-DEFAULT_FREE_GRID = (0.1, 1.0, 10.0)
+#: Relative band of every zero test of a relation.
+TOL = 1e-9
+#: Values tried for each free rate.
+FREE_GRID = (0.1, 1.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -46,18 +49,13 @@ class Relation:
     coeffs: np.ndarray
     expons: np.ndarray
 
-    @property
-    def moment_only(self) -> bool:
-        return not self.expons[:, :5].any()
-
     def evaluate(self, values: np.ndarray) -> tuple[float, float]:
         """Return (value, scale) at a full assignment of the 10 variables.
 
         The scale is the sum of absolute term magnitudes, used to make
         the zero test relative.
         """
-        base = np.where(self.expons > 0, values[None, :], 1.0)
-        terms = self.coeffs * np.prod(base ** self.expons, axis=1)
+        terms = self.coeffs * (values ** self.expons).prod(axis=1)
         return float(terms.sum()), float(np.abs(terms).sum())
 
     def leader_poly(self, values: np.ndarray) -> np.ndarray:
@@ -68,8 +66,7 @@ class Relation:
         coeffs = np.zeros(int(degs.max()) + 1)
         masked = self.expons.copy()
         masked[:, idx] = 0
-        base = np.where(masked > 0, values[None, :], 1.0)
-        terms = self.coeffs * np.prod(base ** masked, axis=1)
+        terms = self.coeffs * (values ** masked).prod(axis=1)
         for d in range(coeffs.size):
             coeffs[d] = terms[degs == d].sum()
         return coeffs
@@ -77,22 +74,23 @@ class Relation:
 
 @dataclass(frozen=True)
 class SimpleSystem:
+    """One simple system, its relations split by :func:`load_systems`.
+
+    ``moment_checks`` are the relations in the moments alone, which
+    decide whether an input lies on the system; ``rate_equations`` are
+    the equations with a rate leader, lowest-ranked leader first, the
+    order in which they are solved; ``rate_relations`` are the relations
+    that involve a rate, each tested on every candidate solution; and
+    ``free_rates`` are the rates that lead no equation.
+    """
+
     model: str
     index: int
     relations: tuple[Relation, ...]
-
-    def moment_relations(self) -> list[Relation]:
-        return [r for r in self.relations if r.moment_only]
-
-    def rate_equations(self, ranking: tuple[str, ...]) -> list[Relation]:
-        """Equations with a rate leader, lowest-ranked leader first."""
-        eqs = [r for r in self.relations
-               if r.kind == "EQ" and r.leader in RATE_VARS]
-        return sorted(eqs, key=lambda r: -ranking.index(r.leader))
-
-    def free_rates(self) -> list[str]:
-        led = {r.leader for r in self.relations if r.kind == "EQ"}
-        return [v for v in RATE_VARS if v not in led]
+    moment_checks: tuple[Relation, ...]
+    rate_equations: tuple[Relation, ...]
+    rate_relations: tuple[Relation, ...]
+    free_rates: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -110,8 +108,24 @@ def _parse_relation(line: str) -> Relation:
                     coeffs=arr[:, 0].astype(float), expons=arr[:, 1:])
 
 
+def _split(model_tag: str, index: int, relations: list[Relation],
+           ranking: tuple[str, ...]) -> SimpleSystem:
+    has_rate = [bool(r.expons[:, :5].any()) for r in relations]
+    eqs = [r for r in relations if r.kind == "EQ" and r.leader in RATE_VARS]
+    led = {r.leader for r in relations if r.kind == "EQ"}
+    return SimpleSystem(
+        model_tag, index, tuple(relations),
+        moment_checks=tuple(r for r, h in zip(relations, has_rate) if not h),
+        rate_equations=tuple(sorted(eqs,
+                                    key=lambda r: -ranking.index(r.leader))),
+        rate_relations=tuple(r for r, h in zip(relations, has_rate) if h),
+        free_rates=tuple(v for v in RATE_VARS if v not in led))
+
+
+@functools.lru_cache(maxsize=None)
 def load_systems(model_tag: str) -> ModelSystems:
-    """Load and checksum-verify the triangular systems for one model."""
+    """Load and checksum-verify the triangular systems for one model,
+    once per process."""
     pkg = resources.files("phasekit") / "data"
     fname = f"{model_tag}.systems"
     payload = (pkg / fname).read_text()
@@ -131,55 +145,53 @@ def load_systems(model_tag: str) -> ModelSystems:
     for line in lines[3:]:
         if line.startswith("SYSTEM"):
             if current:
-                systems.append(SimpleSystem(model_tag, index, tuple(current)))
+                systems.append(_split(model_tag, index, current, ranking))
             index = int(line.split()[1])
             current = []
         else:
             current.append(_parse_relation(line))
-    systems.append(SimpleSystem(model_tag, index, tuple(current)))
+    systems.append(_split(model_tag, index, current, ranking))
     return ModelSystems(model_tag, ranking, tuple(systems))
 
 
-def _relation_holds(rel: Relation, values: np.ndarray, tol: float) -> bool:
+def _miss(rel: Relation, values: np.ndarray, tol: float) -> float:
+    """How far ``rel`` is from holding at ``values``: |value| less the
+    band for an equation, the band less |value| for an inequation."""
     val, scale = rel.evaluate(values)
     band = tol * (1.0 + scale)
-    if rel.kind == "EQ":
-        return abs(val) <= band
-    return abs(val) > band
+    return abs(val) - band if rel.kind == "EQ" else band - abs(val)
 
 
-def match_systems(model_systems: ModelSystems, moments,
-                  tol: float = DEFAULT_TOL) -> list[SimpleSystem]:
+def _relation_holds(rel: Relation, values: np.ndarray, tol: float) -> bool:
+    """An equation holds within its band, an inequation strictly outside."""
+    miss = _miss(rel, values, tol)
+    return miss <= 0.0 if rel.kind == "EQ" else miss < 0.0
+
+
+def _moment_values(moments) -> np.ndarray:
+    values = np.zeros(10)
+    values[5:] = np.asarray(moments, dtype=float)
+    return values
+
+
+def match_systems(model_systems: ModelSystems, moments) -> list[SimpleSystem]:
     """Return the systems whose moment-only relations accept the input.
 
     ``moments`` is the vector (L1, L2, L3, S1, S2).  By construction of
     the decomposition exactly one system should match.
     """
-    values = np.zeros(10)
-    values[5:] = np.asarray(moments, dtype=float)
-    matched = []
-    for sys_ in model_systems.systems:
-        if all(_relation_holds(r, values, tol)
-               for r in sys_.moment_relations()):
-            matched.append(sys_)
-    return matched
+    values = _moment_values(moments)
+    return [sys_ for sys_ in model_systems.systems
+            if all(_relation_holds(r, values, TOL)
+                   for r in sys_.moment_checks)]
 
 
-def match_diagnostics(model_systems: ModelSystems, moments,
-                      tol: float = DEFAULT_TOL) -> dict:
+def match_diagnostics(model_systems: ModelSystems, moments) -> dict:
     """Worst relation violation per system, for no-match error reports."""
-    values = np.zeros(10)
-    values[5:] = np.asarray(moments, dtype=float)
-    out = {}
-    for sys_ in model_systems.systems:
-        worst = 0.0
-        for rel in sys_.moment_relations():
-            val, scale = rel.evaluate(values)
-            band = tol * (1.0 + scale)
-            miss = abs(val) - band if rel.kind == "EQ" else band - abs(val)
-            worst = max(worst, miss)
-        out[sys_.index] = worst
-    return out
+    values = _moment_values(moments)
+    return {sys_.index: max([0.0, *(_miss(r, values, TOL)
+                                    for r in sys_.moment_checks)])
+            for sys_ in model_systems.systems}
 
 
 @dataclass(frozen=True)
@@ -195,70 +207,62 @@ class BranchSolution:
         return np.array([self.rates[v] for v in RATE_VARS])
 
 
-def _solve_leader(rel: Relation, values: np.ndarray,
-                  tol: float) -> list[float]:
+def _solve_leader(rel: Relation, values: np.ndarray) -> list[float]:
     poly = rel.leader_poly(values)
     scale = max(1.0, float(np.abs(poly).sum()))
-    if poly.size == 3 and abs(poly[2]) > tol * scale:
+    if poly.size == 3 and abs(poly[2]) > TOL * scale:
         disc = poly[1] ** 2 - 4.0 * poly[2] * poly[0]
         if disc < 0.0:
-            if disc > -tol * scale ** 2:
+            if disc > -TOL * scale ** 2:
                 disc = 0.0
             else:
                 return []
         root = np.sqrt(disc)
         return [(-poly[1] + root) / (2.0 * poly[2]),
                 (-poly[1] - root) / (2.0 * poly[2])]
-    if abs(poly[1]) <= tol * scale:
-        if abs(poly[0]) <= tol * scale:
+    if abs(poly[1]) <= TOL * scale:
+        if abs(poly[0]) <= TOL * scale:
             # relation degenerates to 0 = 0; leader is unconstrained here
             return [np.nan]
         raise ZeroPivot(f"vanishing pivot for {rel.leader}")
     return [-poly[0] / poly[1]]
 
 
-def solve_system(model_systems: ModelSystems, system: SimpleSystem, moments,
-                 tol: float = DEFAULT_TOL,
-                 free_grid=DEFAULT_FREE_GRID) -> list[BranchSolution]:
+def solve_system(system: SimpleSystem, moments) -> list[BranchSolution]:
     """Enumerate the numeric rate solutions of one simple system.
 
-    Rate equations are solved in ascending leader rank, branching at
-    quadratic leaders.  Rates without an equation are free; each value
-    in ``free_grid`` is tried for them and solutions violating any
-    inequation are discarded.  Equations whose pivot vanishes leave
-    their leader free as well (it is then filled from the grid).
+    The input must already satisfy the system's moment checks
+    (:func:`match_systems`).  Rate equations are solved in ascending
+    leader rank, branching at quadratic leaders.  Rates without an
+    equation are free; each value in ``FREE_GRID`` is tried for them and
+    solutions violating any relation that involves a rate are discarded.
+    Equations whose pivot vanishes leave their leader free as well (it is
+    then filled from the grid).
     """
-    moments = np.asarray(moments, dtype=float)
-    free = system.free_rates()
-    eqs = system.rate_equations(model_systems.ranking)
+    free = system.free_rates
     solutions = []
 
-    for free_vals in itertools.product(free_grid, repeat=len(free)):
-        base = np.zeros(10)
-        base[5:] = moments
+    for free_vals in itertools.product(FREE_GRID, repeat=len(free)):
+        base = _moment_values(moments)
         for name, val in zip(free, free_vals):
             base[VAR_NAMES.index(name)] = val
 
         partials: list[tuple[np.ndarray, tuple[int, ...]]] = [(base, ())]
-        for rel in eqs:
+        for rel in system.rate_equations:
+            lead = VAR_NAMES.index(rel.leader)
             nxt = []
             for values, branch in partials:
-                roots = _solve_leader(rel, values, tol)
-                for j, root in enumerate(roots):
-                    values2 = values.copy()
-                    if np.isnan(root):
-                        # unconstrained leader, sample it like a free rate
-                        for g in free_grid:
-                            v3 = values.copy()
-                            v3[VAR_NAMES.index(rel.leader)] = g
-                            nxt.append((v3, branch + (j,)))
-                        continue
-                    values2[VAR_NAMES.index(rel.leader)] = root
-                    nxt.append((values2, branch + (j,)))
+                for j, root in enumerate(_solve_leader(rel, values)):
+                    # an unconstrained leader is sampled like a free rate
+                    for g in (FREE_GRID if np.isnan(root) else (root,)):
+                        values2 = values.copy()
+                        values2[lead] = g
+                        nxt.append((values2, branch + (j,)))
             partials = nxt
 
         for values, branch in partials:
-            if all(_relation_holds(r, values, tol) for r in system.relations):
+            if all(_relation_holds(r, values, TOL)
+                   for r in system.rate_relations):
                 rates = {v: float(values[VAR_NAMES.index(v)])
                          for v in RATE_VARS}
                 fv = dict(zip(free, (float(x) for x in free_vals)))
@@ -275,16 +279,15 @@ def solve_system(model_systems: ModelSystems, system: SimpleSystem, moments,
     return unique
 
 
-def solve_for_moments(model_systems: ModelSystems, moments,
-                      tol: float = DEFAULT_TOL,
-                      free_grid=DEFAULT_FREE_GRID) -> list[BranchSolution]:
+def solve_for_moments(model_systems: ModelSystems,
+                      moments) -> list[BranchSolution]:
     """Match the input to its simple system and solve it.
 
     Raises NoBranchMatches if no system accepts the input, which for a
     consistent decomposition only happens for inputs outside the image
     of the forward map or for tolerance failures.
     """
-    matched = match_systems(model_systems, moments, tol)
+    matched = match_systems(model_systems, moments)
     if not matched:
         raise NoBranchMatches(
             f"no simple system of {model_systems.model} accepts the input",
@@ -292,9 +295,6 @@ def solve_for_moments(model_systems: ModelSystems, moments,
                 "model": model_systems.model,
                 "moments": list(map(float, moments)),
                 "worst_violation_per_system":
-                    match_diagnostics(model_systems, moments, tol),
+                    match_diagnostics(model_systems, moments),
             })
-    out = []
-    for sys_ in matched:
-        out.extend(solve_system(model_systems, sys_, moments, tol, free_grid))
-    return out
+    return [sol for sys_ in matched for sol in solve_system(sys_, moments)]
