@@ -340,28 +340,27 @@ def generic_branches(tag: str, m: SymmetricMoments):
 
 
 def invert_generic(model: models.ModelId, m: SymmetricMoments,
-                   tol: float = DEFAULT_TOL,
                    k3_grid=DEFAULT_K3_GRID,
-                   hypersurface_tol: float | None = None) -> list[InverseSolution]:
+                   hypersurface_tol: float = DEFAULT_TOL
+                   ) -> list[InverseSolution]:
     """Closed-form solutions of the generic branch for one catalog model.
 
     Raises GenericBranchMiss when an inequation of the generic branch
     fails, that is when the quantity lies within the float64 rounding
     error of zero, 64 eps times the sum of its absolute terms (callers
     should then fall back to invert_thomas), and NegativeDiscriminant
-    when the quadratic branch turns complex.  ``tol`` sets the band of
-    the M3 solvability hypersurface test; ``hypersurface_tol`` loosens
-    only that test, measured against its polynomial's term sizes, for
-    inputs estimated from finite data.
+    when the quadratic branch turns complex.  The M3 family exists only
+    on the solvability hypersurface G = 0, tested as |G| <=
+    ``hypersurface_tol`` times the sum of the absolute values of G's
+    terms; a looser value admits inputs estimated from finite data.
     """
-    return make_solutions(m, generic_candidates(model, m, tol, k3_grid,
+    return make_solutions(m, generic_candidates(model, m, k3_grid,
                                                 hypersurface_tol))
 
 
 def generic_candidates(model: models.ModelId, m: SymmetricMoments,
-                       tol: float = DEFAULT_TOL, k3_grid=DEFAULT_K3_GRID,
-                       hypersurface_tol: float | None = None
-                       ) -> list[tuple]:
+                       k3_grid=DEFAULT_K3_GRID,
+                       hypersurface_tol: float = DEFAULT_TOL) -> list[tuple]:
     """The solutions of :func:`invert_generic`, unpolished."""
     if model != models.M3:
         # As a batch of one: numpy's scalar powers can differ in the last
@@ -375,9 +374,7 @@ def generic_candidates(model: models.ModelId, m: SymmetricMoments,
 
     L1, L2, L3, S1, S2 = _three_state(m)
     G, G_terms = _family_condition(L1, L2, L3, S1, S2)
-    hs_band = tol * (1.0 + float(np.max(np.abs(m.as_vector()))))
-    if hypersurface_tol is not None:
-        hs_band = hypersurface_tol * (1.0 + G_terms)
+    hs_band = hypersurface_tol * G_terms
     if abs(G) > hs_band:
         raise M3HypersurfaceMiss(
             f"family condition |{G:.3e}| > {hs_band:.3e}; moments are "

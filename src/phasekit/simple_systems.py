@@ -9,8 +9,16 @@ system the rate equations can be solved one leader at a time (each is
 linear or quadratic in its leader).
 
 The systems ship as plain-text data files with pinned checksums.  This
-module loads them, decides which system an input lies on, and enumerates
-the numeric solutions of the matched system.
+module loads them once per process, splitting each system's relations
+into the checks in the moments alone, the rate equations in solve order
+and the relations that involve a rate; it then decides which system an
+input lies on, and enumerates the numeric solutions of the matched
+system, testing each relation once per candidate.
+
+Every relation is weighted-homogeneous, with weight 1 for each rate and
+weight j for L_j and S_j.  A relation with terms t_1..t_m is therefore
+zero when |sum t_j| <= TOL * sum |t_j|, a test that scaling all rates by
+one factor leaves unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ VAR_NAMES = ("k1", "k2", "k3", "k4", "k5", "L1", "L2", "L3", "S1", "S2")
 RATE_VARS = VAR_NAMES[:5]
 MOMENT_VARS = VAR_NAMES[5:]
 
-#: Relative band of every zero test of a relation.
+#: Band of every zero test, relative to the sum of the absolute values of
+#: the terms tested.
 TOL = 1e-9
 #: Values tried for each free rate.
 FREE_GRID = (0.1, 1.0, 10.0)
@@ -58,18 +67,17 @@ class Relation:
         terms = self.coeffs * (values ** self.expons).prod(axis=1)
         return float(terms.sum()), float(np.abs(terms).sum())
 
-    def leader_poly(self, values: np.ndarray) -> np.ndarray:
+    def leader_poly(self, values: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients [c0, c1, c2] of the relation as a polynomial in
-        its leader, with all other variables bound to ``values``."""
+        its leader, with all other variables bound to ``values``, and the
+        sum of the absolute values of the terms of each."""
         idx = VAR_NAMES.index(self.leader)
         degs = self.expons[:, idx]
-        coeffs = np.zeros(int(degs.max()) + 1)
         masked = self.expons.copy()
         masked[:, idx] = 0
         terms = self.coeffs * (values ** masked).prod(axis=1)
-        for d in range(coeffs.size):
-            coeffs[d] = terms[degs == d].sum()
-        return coeffs
+        return np.bincount(degs, terms), np.bincount(degs, np.abs(terms))
 
 
 @dataclass(frozen=True)
@@ -155,10 +163,12 @@ def load_systems(model_tag: str) -> ModelSystems:
 
 
 def _miss(rel: Relation, values: np.ndarray, tol: float) -> float:
-    """How far ``rel`` is from holding at ``values``: |value| less the
-    band for an equation, the band less |value| for an inequation."""
+    """How far ``rel`` is from holding at ``values``, with the band
+    ``tol`` times the sum of the absolute values of its terms: |value|
+    less the band for an equation, the band less |value| for an
+    inequation."""
     val, scale = rel.evaluate(values)
-    band = tol * (1.0 + scale)
+    band = tol * scale
     return abs(val) - band if rel.kind == "EQ" else band - abs(val)
 
 
@@ -208,20 +218,21 @@ class BranchSolution:
 
 
 def _solve_leader(rel: Relation, values: np.ndarray) -> list[float]:
-    poly = rel.leader_poly(values)
-    scale = max(1.0, float(np.abs(poly).sum()))
-    if poly.size == 3 and abs(poly[2]) > TOL * scale:
+    # Each coefficient, and the discriminant, is tested against its own
+    # term scale: the coefficients have different weights.
+    poly, scale = rel.leader_poly(values)
+    if poly.size == 3 and abs(poly[2]) > TOL * scale[2]:
         disc = poly[1] ** 2 - 4.0 * poly[2] * poly[0]
         if disc < 0.0:
-            if disc > -TOL * scale ** 2:
+            if disc > -TOL * (scale[1] ** 2 + 4.0 * scale[2] * scale[0]):
                 disc = 0.0
             else:
                 return []
         root = np.sqrt(disc)
         return [(-poly[1] + root) / (2.0 * poly[2]),
                 (-poly[1] - root) / (2.0 * poly[2])]
-    if abs(poly[1]) <= TOL * scale:
-        if abs(poly[0]) <= TOL * scale:
+    if abs(poly[1]) <= TOL * scale[1]:
+        if abs(poly[0]) <= TOL * scale[0]:
             # relation degenerates to 0 = 0; leader is unconstrained here
             return [np.nan]
         raise ZeroPivot(f"vanishing pivot for {rel.leader}")

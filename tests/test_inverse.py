@@ -100,6 +100,12 @@ class TestGenericBranch:
         sols = inverse.invert_generic(model, m_off, hypersurface_tol=0.01)
         assert sols
 
+    def test_m3_rejects_slow_generic_moments(self):
+        # The hypersurface band scales with G's terms, not with 1 + |m|.
+        model, m = forward_moments("M9", [1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
+        with pytest.raises(M3HypersurfaceMiss):
+            inverse.invert_generic(models.M3, m)
+
 
 class TestThomasSearch:
     def test_matches_generic_on_generic_input(self):
@@ -122,6 +128,18 @@ class TestThomasSearch:
     def test_branch_labels(self):
         sols = inverse.invert_thomas(models.M9, M9_MOMENTS)
         assert all(s.branch.startswith("S") for s in sols)
+
+    def test_slow_lumpable_input_gives_only_exact_solutions(self):
+        # Rates near 1e-3 with k1 = k2: an absolute band floor accepted
+        # M8 candidates whose round-trip residuals were 18 to 190.
+        k = [0.0026348794283414397, 0.0026348794283414397,
+             0.002546975033826566, 0.010389276623150333,
+             0.00026066978087333013]
+        gen = models.build_generator(models.M9, np.array(k))
+        m = inverse.symmetric_inputs(direct.phase_type_params(gen))
+        sols = inverse.invert_thomas(models.M8, m)
+        assert sols
+        assert all(s.residual <= 1e-9 for s in sols)
 
 
 class TestUnbranchedChain:

@@ -80,6 +80,18 @@ class TestLoading:
                 assert degree <= 2
 
 
+    @pytest.mark.parametrize("tag", sorted(EXPECTED_COUNTS))
+    def test_weighted_homogeneous(self, tag):
+        # Weight 1 for each rate and j for L_j and S_j: every term of a
+        # relation has the same weight, so the zero tests can be relative
+        # to the sum of the absolute values of the terms.
+        weights = np.array([1, 1, 1, 1, 1, 1, 2, 3, 1, 2])
+        ms = simple_systems.load_systems(tag)
+        for sys_ in ms.systems:
+            for rel in sys_.relations:
+                assert np.unique(rel.expons @ weights).size == 1
+
+
 class TestMatching:
     def test_generic_m9_point_matches_one_system(self):
         ms = simple_systems.load_systems("M9")
@@ -120,6 +132,22 @@ class TestSolving:
             max(abs(sol.rates[f"k{i+1}"] - rates[i]) for i in range(5))
             for sol in sols
         )
+        assert best < 1e-7
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-3, 1e4])
+    @pytest.mark.parametrize("tag,rates", [
+        ("M2", [1.0, 2.0, 3.0, 4.0, 5.0]),
+        ("M4", [1.0, 1.5, 4.0, 3.0, 5.0]),
+        ("M8", [1.0, 2.0, 1.5, 5.5, 5.0]),
+        ("M9", [1.0, 2.0, 3.0, 4.0, 5.0]),
+    ])
+    def test_solve_recovers_scaled_rates(self, tag, rates, scale):
+        rates = np.asarray(rates) * scale
+        ms = simple_systems.load_systems(tag)
+        point = forward_point(tag, rates)
+        sols = simple_systems.solve_for_moments(ms, point[5:])
+        best = min((np.max(np.abs(sol.rate_vector() / rates - 1.0))
+                    for sol in sols), default=np.inf)
         assert best < 1e-7
 
     def test_complex_branch_yields_no_real_solutions(self):
