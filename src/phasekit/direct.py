@@ -73,17 +73,16 @@ class SymmetricMoments:
 class Spectrum:
     eigenvalues: np.ndarray
     is_real_distinct: bool
-    eigenvectors: np.ndarray
 
 
 def spectrum(gen: Generator) -> Spectrum:
-    """All eigenvalues of Qtilde with eigenvectors normalized at state s.
+    """All eigenvalues of Qtilde.
 
     Raises DegenerateSpectrum when two eigenvalues are closer than the
     separation threshold.  A complex (but separated) spectrum is reported
     via ``is_real_distinct = False`` rather than as an error.
     """
-    vals, vecs = np.linalg.eig(gen.Qtilde)
+    vals = np.linalg.eigvals(gen.Qtilde)
     scale = float(np.max(np.abs(vals), initial=1.0))
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
@@ -92,18 +91,7 @@ def spectrum(gen: Generator) -> Spectrum:
                     f"eigenvalues {vals[i]} and {vals[j]} are not separated",
                     pair=(vals[i], vals[j]))
     is_real = bool(np.all(np.abs(vals.imag) <= TOL_IM * scale))
-    s = gen.return_state - 1
-    cols = []
-    for i in range(len(vals)):
-        u = vecs[:, i]
-        if abs(u[s]) > 1e-300:
-            u = u / u[s]
-        cols.append(u)
-    vecs = np.array(cols).T
-    if is_real:
-        vals = vals.real
-        vecs = vecs.real
-    return Spectrum(vals, is_real, vecs)
+    return Spectrum(vals.real if is_real else vals, is_real)
 
 
 def _flow_table(model, k) -> tuple[list[list], tuple]:

@@ -131,7 +131,7 @@ class EmpiricalSurvival:
     tail: np.ndarray
 
     def __call__(self, t: float | np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.times, t, side="left")
+        idx = np.searchsorted(self.times, t, side="right")
         padded = np.concatenate(([1.0], self.tail))
         return padded[idx]
 

@@ -56,6 +56,12 @@ class TestEmpiricalSurvival:
         assert es(1.5) == pytest.approx(2.0 / 3.0)
         assert es(0.0) == pytest.approx(1.0)
         assert es(5.0) == pytest.approx(0.0)
+        # right-continuous: S(t) = #(gaps > t) / n at a gap too
+        assert es(1.0) == pytest.approx(2.0 / 3.0)
+        assert es(3.0) == pytest.approx(0.0)
+        tied = stochastic.empirical_survival(
+            stochastic.EventTrace(gaps=np.array([1.0, 1.0, 2.0]), seed=0))
+        assert tied(1.0) == pytest.approx(1.0 / 3.0)
 
     def test_ks_self_consistency(self):
         gen = m9_generator()
