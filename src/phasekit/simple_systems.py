@@ -9,16 +9,11 @@ system the rate equations can be solved one leader at a time (each is
 linear or quadratic in its leader).
 
 The systems ship as plain-text data files with pinned checksums.  This
-module loads them once per process, splitting each system's relations
-into the checks in the moments alone, the rate equations in solve order
-and the relations that involve a rate; it then decides which system an
-input lies on, and enumerates the numeric solutions of the matched
-system, testing each relation once per candidate.
-
-Every relation is weighted-homogeneous, with weight 1 for each rate and
-weight j for L_j and S_j.  A relation with terms t_1..t_m is therefore
-zero when |sum t_j| <= TOL * sum |t_j|, a test that scaling all rates by
-one factor leaves unchanged.
+module loads them once, splitting each system's relations by role,
+decides which system an input lies on, and enumerates the numeric
+solutions of the matched system.  Every relation is weighted-homogeneous
+(weight 1 per rate, j for L_j and S_j), so a relation with terms t_j is
+zero when |sum t_j| <= TOL * sum |t_j|, whatever the unit of time.
 """
 
 from __future__ import annotations
@@ -36,10 +31,8 @@ from .errors import NoBranchMatches, ZeroPivot
 
 VAR_NAMES = ("k1", "k2", "k3", "k4", "k5", "L1", "L2", "L3", "S1", "S2")
 RATE_VARS = VAR_NAMES[:5]
-MOMENT_VARS = VAR_NAMES[5:]
 
-#: Band of every zero test, relative to the sum of the absolute values of
-#: the terms tested.
+#: Band of every zero test, relative to the terms tested.
 TOL = 1e-9
 #: Values tried for each free rate.
 FREE_GRID = (0.1, 1.0, 10.0)
@@ -82,15 +75,11 @@ class Relation:
 
 @dataclass(frozen=True)
 class SimpleSystem:
-    """One simple system, its relations split by :func:`load_systems`.
-
-    ``moment_checks`` are the relations in the moments alone, which
-    decide whether an input lies on the system; ``rate_equations`` are
-    the equations with a rate leader, lowest-ranked leader first, the
-    order in which they are solved; ``rate_relations`` are the relations
-    that involve a rate, each tested on every candidate solution; and
-    ``free_rates`` are the rates that lead no equation.
-    """
+    """One simple system, its relations split once by role: the checks
+    in the moments alone, which decide whether an input lies on it; the
+    equations with a rate leader, lowest-ranked leader first; the
+    relations that involve a rate, tested on each candidate; and the
+    rates that lead no equation."""
 
     model: str
     index: int
@@ -112,8 +101,11 @@ def _parse_relation(line: str) -> Relation:
     kind, leader, terms = line.split(";")
     rows = [[int(x) for x in t.split()] for t in terms.split("|")]
     arr = np.array(rows, dtype=np.int64)
-    return Relation(kind=kind, leader=leader,
-                    coeffs=arr[:, 0].astype(float), expons=arr[:, 1:])
+    coeffs = arr[:, 0].astype(float)
+    # load_systems caches the relations: every caller gets these arrays
+    coeffs.flags.writeable = arr.flags.writeable = False
+    return Relation(kind=kind, leader=leader, coeffs=coeffs,
+                    expons=arr[:, 1:])
 
 
 def _split(model_tag: str, index: int, relations: list[Relation],
@@ -163,10 +155,8 @@ def load_systems(model_tag: str) -> ModelSystems:
 
 
 def _miss(rel: Relation, values: np.ndarray, tol: float) -> float:
-    """How far ``rel`` is from holding at ``values``, with the band
-    ``tol`` times the sum of the absolute values of its terms: |value|
-    less the band for an equation, the band less |value| for an
-    inequation."""
+    """|value| less the band tol * sum |terms| for an equation, the band
+    less |value| for an inequation: ``rel`` fails where this is > 0."""
     val, scale = rel.evaluate(values)
     band = tol * scale
     return abs(val) - band if rel.kind == "EQ" else band - abs(val)
@@ -272,22 +262,16 @@ def solve_system(system: SimpleSystem, moments) -> list[BranchSolution]:
             partials = nxt
 
         for values, branch in partials:
+            vec = values[:5]
+            # an assignment reached through several grid choices is kept once
             if all(_relation_holds(r, values, TOL)
-                   for r in system.rate_relations):
-                rates = {v: float(values[VAR_NAMES.index(v)])
-                         for v in RATE_VARS}
-                fv = dict(zip(free, (float(x) for x in free_vals)))
-                solutions.append(BranchSolution(system.index, rates, fv,
-                                                branch))
-
-    # deduplicate assignments reached through several grid choices
-    unique: list[BranchSolution] = []
-    for sol in solutions:
-        vec = sol.rate_vector()
-        if not any(np.allclose(vec, u.rate_vector(), rtol=1e-12, atol=1e-12)
-                   for u in unique):
-            unique.append(sol)
-    return unique
+                   for r in system.rate_relations) and not any(
+                    np.allclose(vec, u.rate_vector(), rtol=1e-12, atol=1e-12)
+                    for u in solutions):
+                solutions.append(BranchSolution(
+                    system.index, dict(zip(RATE_VARS, map(float, vec))),
+                    dict(zip(free, map(float, free_vals))), branch))
+    return solutions
 
 
 def solve_for_moments(model_systems: ModelSystems,
