@@ -131,7 +131,7 @@ class TestThomasSearch:
 
     def test_slow_lumpable_input_gives_only_exact_solutions(self):
         # Rates near 1e-3 with k1 = k2: an absolute band floor accepted
-        # M8 candidates whose round-trip residuals were 18 to 190.
+        # M8 candidates whose round-trip residuals were 18 to 186.
         k = [0.0026348794283414397, 0.0026348794283414397,
              0.002546975033826566, 0.010389276623150333,
              0.00026066978087333013]

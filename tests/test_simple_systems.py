@@ -79,7 +79,6 @@ class TestLoading:
                              for e in rel.expons)
                 assert degree <= 2
 
-
     @pytest.mark.parametrize("tag", sorted(EXPECTED_COUNTS))
     def test_weighted_homogeneous(self, tag):
         # Weight 1 for each rate and j for L_j and S_j: every term of a
