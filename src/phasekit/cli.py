@@ -355,7 +355,16 @@ def _cmd_pipeline(args, manifest: _Manifest) -> int:
         "best_match_model": None,
         "best_match_rel_err": None,
     }
-    if solvable:
+    if model.tag == "chain":
+        try:
+            sol = inverse.invert_unbranched(model.n, fit.params)
+        except _NO_SOLUTION_ERRORS:
+            pass
+        else:
+            ground_truth["best_match_model"] = str(model)
+            ground_truth["best_match_rel_err"] = float(
+                np.max(np.abs(sol.rates - rates) / np.abs(rates)))
+    elif solvable:
         best = None
         for inst in report.instances:
             if str(inst.solution.model) != str(model) or not inst.valid:
@@ -405,7 +414,9 @@ def _cmd_pipeline(args, manifest: _Manifest) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="phasekit",
         description="Phase-type distributions of Markov chain models: "

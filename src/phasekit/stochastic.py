@@ -22,6 +22,28 @@ from .errors import InvalidDensity, NonErgodic
 from .models import Generator, ModelId, validate
 
 MAX_JUMPS = 10**7
+#: Gaps per block of the likelihood sums, so that one evaluation holds a
+#: bounded table at any trace length.
+_GAP_BLOCK = 2**13
+#: Traces longer than this run their restarts on a strided subsample of
+#: this many gaps at most, then refine the distinct optima on the full
+#: trace.
+_SUBSAMPLE = 2**13
+#: Eigenvalues of the Hessian below this share of its largest one are
+#: raised to it.
+_EIG_FLOOR = 1e-12
+#: Largest step, in the max-norm of theta.
+_STEP_CAP = 1.0
+#: Armijo sufficient-decrease constant, and the smallest step tried.
+_ARMIJO = 1e-4
+_MIN_STEP = 2.0**-12
+#: A variable this close to a bound is held there when its gradient,
+#: or its Newton step, points out.
+_BOUND_GAP = 1e-3
+#: Two runs whose sorted log-rates are this close in the max-norm are at
+#: one optimum: for fixed rates the objective is convex in the amplitudes.
+_NEAR = 0.05
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -51,7 +73,13 @@ class EventTrace:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the multistart likelihood optimizer."""
+    """Knobs for the multistart likelihood optimizer.
+
+    ``restarts`` starts advance together; ``max_iter`` caps the Newton
+    steps of each; a run stops once its Newton decrement, sqrt(g^T H^-1
+    g), is at most ``tol`` |f| for the objective f; ``seed`` draws the
+    random starts.
+    """
 
     restarts: int = 20
     max_iter: int = 500
@@ -157,45 +185,75 @@ def ks_statistic(trace: EventTrace, params: PhaseTypeParams) -> float:
 
 
 def _negloglik(theta: np.ndarray, t: np.ndarray, n: int):
-    """Negative log-likelihood of the gap density and its gradient.
+    """Negative log-likelihood of the gap density, its gradient and Hessian.
 
-    Parameters are packed as (log magnitudes of the rates, first n-1
-    amplitudes); the last amplitude is fixed by the sum-to-one constraint.
-    With lambda_i = -exp(theta_i) and c = -A lambda, the density at the
-    gaps is f = E @ c for the one exponential table E = exp(t lambda).
-    Where f <= 0 a smooth penalty 1e6 f^2 + 1e3 replaces -log f, pulling
-    the iterate back into the feasible region.
+    ``theta`` holds one parameter vector per row: the log magnitudes of
+    the n rates, then the first n-1 amplitudes; the last amplitude is
+    fixed by the sum-to-one constraint.  With lambda_i = -exp(theta_i)
+    and c = -A lambda, the density at the gaps is f = E @ c for the one
+    exponential table E = exp(t lambda).  Where f <= 0 a smooth penalty
+    1e6 f^2 + 1e3 replaces -log f, pulling the iterate back into the
+    feasible region.  Returns arrays of shapes (r,), (r, m) and (r, m, m)
+    for r rows of m = 2n-1 parameters.
 
-    The objective is sum_k phi(f_k), so its gradient is w @ df/dtheta
-    with w = phi'(f): -1/f, or 2e6 f at the penalized gaps.  Since
-    df/dtheta_i = c_i E_i (1 + lambda_i t) and df/dA_j = lambda_n E_n -
-    lambda_j E_j, every term comes from g1 = w @ E and g2 = (w t) @ E.
+    The objective is sum_k phi(f_k), so with the Jacobian J = df/dtheta
+    its gradient is J^T phi'(f) and its Hessian is J^T diag(phi''(f)) J
+    + sum_k phi'(f_k) d2f_k/dtheta2.  With x = lambda t, df/dtheta_i =
+    c_i E_i (1 + x_i) and df/dA_j = lambda_n E_n - lambda_j E_j, so J =
+    M [E, E x] for one small matrix M per row.  The second derivatives
+    are nonzero only on the rate diagonal, c_i E_i (1 + 3 x_i + x_i^2),
+    and between a rate and an amplitude: -lambda_j E_j (1 + x_j) for
+    (theta_j, A_j) and lambda_n E_n (1 + x_n) for (theta_n, A_j).  So
+    every term comes from the Gram matrix of [E, E x] / sqrt(phi'') and
+    the sums P_p = phi' @ (E x^p), p = 0, 1, 2, which run over the gaps
+    in blocks of ``_GAP_BLOCK``.
     """
-    lam = -np.exp(theta[:n])
-    a = np.empty(n)
-    a[: n - 1] = theta[n:]
-    a[n - 1] = 1.0 - theta[n:].sum()
-    c = -a * lam
-    expo = np.multiply.outer(t, lam)
-    np.exp(expo, out=expo)
-    f = expo @ c
-    bad = f <= 0.0
-    if bad.any():
-        penalty = 1e6 * np.square(f[bad]).sum() + 1e3 * np.count_nonzero(bad)
-        safe = np.where(bad, 1.0, f)
-        nll = -np.log(safe).sum() + penalty
-        with np.errstate(over="ignore", divide="ignore"):
-            w = np.where(bad, 2e6 * f, -1.0 / safe)
-        w = np.clip(w, -1e300, 1e300)
-    else:
-        nll = -np.log(f).sum()
-        w = -1.0 / f
-    g1 = w @ expo
-    g2 = (w * t) @ expo
-    grad = np.empty_like(theta)
-    grad[:n] = c * (g1 + lam * g2)
-    grad[n:] = lam[n - 1] * g1[n - 1] - lam[: n - 1] * g1[: n - 1]
-    return nll, grad
+    rows, m = theta.shape
+    lam = -np.exp(theta[:, :n])
+    c = -_amplitudes(theta, n) * lam
+    nll = np.zeros(rows)
+    gram = np.zeros((rows, 2 * n, 2 * n))
+    sums = np.zeros((rows, 3 * n))
+    # Tables are (rows, 2n, gaps): the long axis innermost.
+    for start in range(0, t.size, _GAP_BLOCK):
+        x = lam[:, :, None] * t[start:start + _GAP_BLOCK]
+        table = np.empty((rows, 2 * n, x.shape[2]))
+        e = np.exp(x, out=table[:, :n])
+        f = (c[:, None, :] @ e)[:, 0]
+        np.multiply(e, x, out=table[:, n:])
+        bad = f <= 0.0
+        if bad.any():
+            nll += np.where(bad, 1e6 * np.square(f) + 1e3,
+                            -np.log(np.where(bad, 1.0, f))).sum(axis=1)
+            # With root = 1 / sqrt(phi''), u = phi' root: -1 where f > 0.
+            root = np.where(bad, 1.0 / np.sqrt(2e6), f)
+            u = np.where(bad, np.sqrt(2e6) * f, -1.0)
+        else:
+            nll -= np.log(f).sum(axis=1)
+            root = f
+            u = np.full_like(f, -1.0)
+        table /= root[:, None, :]
+        gram += table @ table.transpose(0, 2, 1)
+        u = u[:, :, None]
+        sums[:, : 2 * n] += (table @ u)[..., 0]
+        table[:, n:] *= x
+        sums[:, 2 * n:] += (table[:, n:] @ u)[..., 0]
+    p0, p1, p2 = sums[:, :n], sums[:, n: 2 * n], sums[:, 2 * n:]
+    rate, amp = np.arange(n), np.arange(n, m)
+    jmap = np.zeros((rows, m, 2 * n))  # M, so that J = M [E, E x]
+    jmap[:, rate, rate] = jmap[:, rate, rate + n] = c
+    jmap[:, amp, amp - n] = -lam[:, : n - 1]
+    jmap[:, amp, n - 1] = lam[:, n - 1:]
+    grad = (jmap @ sums[:, : 2 * n, None])[..., 0]
+    # The second-derivative terms, upper triangle with half the diagonal.
+    half = np.zeros((rows, m, m))
+    half[:, rate, rate] = 0.5 * c * (p0 + 3.0 * p1 + p2)
+    q = lam * (p0 + p1)
+    half[:, amp - n, amp] = -q[:, : n - 1]
+    half[:, n - 1, amp] = q[:, n - 1:]
+    hess = jmap @ gram @ jmap.transpose(0, 2, 1) + half
+    hess += half.transpose(0, 2, 1)
+    return nll, grad, hess
 
 
 def _initial_points(
@@ -236,6 +294,155 @@ def _distinct_rates(lam: np.ndarray, rel: float = 1e-8) -> np.ndarray:
     return lam
 
 
+def _newton_step(theta, grad, hess, lo, hi):
+    """Projected modified Newton steps of the rows, and their decrements.
+
+    A variable within ``_BOUND_GAP`` of a bound, with its gradient or
+    its Newton step pointing out, is held: its step puts it on the bound.  The others
+    take -H^-1 g on their block of H, with the eigenvalues of that block
+    in absolute value and floored at ``_EIG_FLOOR`` times the largest, so
+    the step descends wherever H is indefinite (Bertsekas, SIAM J.
+    Control Optim. 20, 1982).  Steps are capped at ``_STEP_CAP`` in the
+    max-norm.  Also returns the squared Newton decrement g^T H^-1 g,
+    twice the decrease the quadratic model predicts for the uncapped
+    step, or nan where g or H is not finite.
+    """
+    near_lo = theta <= lo + _BOUND_GAP
+    near_hi = theta >= hi - _BOUND_GAP
+    held = (near_lo & (grad > 0.0)) | (near_hi & (grad < 0.0))
+    ok = np.isfinite(grad).all(axis=1) & np.isfinite(hess).all(axis=(1, 2))
+    grad = np.where(ok[:, None], grad, 0.0)
+    hess = np.where(ok[:, None, None], hess, 0.0)
+    # Hold too a variable at a bound that the Newton step would push
+    # out, and solve again; each pass holds at least one more.
+    for _ in range(theta.shape[1]):
+        free = ~held
+        h = hess * (free[:, :, None] & free[:, None, :])
+        ev, vec = np.linalg.eigh(h)
+        ev = np.abs(ev)
+        ev = np.maximum(ev, _EIG_FLOOR * ev.max(axis=1, keepdims=True) + _TINY)
+        coef = ((grad * free)[:, None, :] @ vec)[:, 0] / ev
+        step = -(vec @ coef[..., None])[..., 0]
+        out = free & ((near_lo & (step < 0.0)) | (near_hi & (step > 0.0)))
+        if not out.any():
+            break
+        held |= out
+    step = np.where(held, np.where(near_lo, lo, hi) - theta, step)
+    size = np.abs(step).max(axis=1)
+    step *= np.minimum(1.0, _STEP_CAP / (size + _TINY))[:, None]
+    decrement = np.where(ok, np.einsum("ij,ij->i", coef * ev, coef), np.nan)
+    return step, decrement
+
+
+def _newton_batch(theta, t, n, lo, hi, config: FitConfig):
+    """Minimize ``_negloglik`` from every row of ``theta`` at once.
+
+    Every active row takes one ``_newton_step`` per iteration; each round
+    of the line search evaluates the pending rows as one batch.  A point
+    is taken when it passes the Armijo test and keeps f(0) > 0 and a
+    positive tail (``_positive_ends``), so a run that starts admissible
+    never crosses into the spikes that hide negative mass below the
+    shortest gap.  A point that fails the Armijo test is first replaced
+    by its correction, the Newton step taken from it, which follows a
+    curved valley where the straight step leaves it; a correction that
+    fails too, or a point without positive ends, halves the step.
+
+    A row leaves the batch when its decrement falls to (``config.tol``
+    |f|)^2, after trying that last step; when no step down to
+    ``_MIN_STEP`` lowers its objective; or when its sorted log-rates come
+    within ``_NEAR`` of those of a row with a lower objective.  Returns
+    the final rows, their objectives and whether each stopped on the
+    decrement.
+    """
+    theta = np.array(theta, dtype=float)
+    fval, grad, hess = _negloglik(theta, t, n)
+    active = np.isfinite(fval)
+    converged = np.zeros(fval.size, dtype=bool)
+    for _ in range(config.max_iter):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        th, f0, g0 = theta[idx], fval[idx], grad[idx]
+        step, decrement = _newton_step(th, g0, hess[idx], lo, hi)
+        final = decrement <= np.square(config.tol * f0)
+        alpha = np.ones(idx.size)
+        corrected = np.zeros(idx.size, dtype=bool)
+        moved = np.zeros(idx.size, dtype=bool)
+        trial = th.copy()
+        pending = np.isfinite(decrement)
+        while pending.any():
+            plain = pending & ~corrected
+            trial[plain] = np.clip(
+                th[plain] + alpha[plain, None] * step[plain], lo, hi)
+            # A point without positive ends fails unevaluated: halve.
+            lost = pending & ~_positive_ends(trial, n)
+            if lost.any():
+                alpha[lost] *= 0.5
+                corrected[lost] = False
+                pending[lost] = (alpha[lost] >= _MIN_STEP) & ~final[lost]
+                continue
+            p = np.flatnonzero(pending)
+            ft, gt, ht = _negloglik(trial[p], t, n)
+            slope = np.einsum("ij,ij->i", g0[p], trial[p] - th[p])
+            take = ft <= f0[p] + _ARMIJO * np.minimum(slope, 0.0)
+            done = idx[p[take]]
+            theta[done], fval[done] = trial[p[take]], ft[take]
+            grad[done], hess[done] = gt[take], ht[take]
+            moved[p[take]] = True
+            fix = ~take & ~corrected[p] & ~final[p]
+            if fix.any():
+                fix_step, fix_dec = _newton_step(trial[p[fix]], gt[fix],
+                                                 ht[fix], lo, hi)
+                trial[p[fix]] = np.clip(trial[p[fix]] + fix_step, lo, hi)
+                fix[fix] = np.isfinite(fix_dec)
+            halve = ~take & ~fix & ~final[p]
+            alpha[p[halve]] *= 0.5
+            corrected[p] = fix
+            pending[p] = fix | (halve & (alpha[p] >= _MIN_STEP))
+        converged[idx[final]] = True
+        active[idx[final | ~moved]] = False
+        # Merge: a row at the rates of a row with a lower objective leaves.
+        idx = np.flatnonzero(active)
+        if idx.size > 1:
+            rates = np.sort(theta[idx, :n], axis=1)
+            near = np.abs(rates[:, None] - rates[None, :]).max(axis=2) <= _NEAR
+            fv = fval[idx]
+            lower = (fv[None, :] < fv[:, None]) | (
+                (fv[None, :] == fv[:, None]) & (idx[None, :] < idx[:, None]))
+            active[idx[(near & lower).any(axis=1)]] = False
+    return theta, fval, converged
+
+
+def _amplitudes(theta: np.ndarray, n: int) -> np.ndarray:
+    """All n amplitudes of each parameter vector: the last makes the sum 1."""
+    rest = theta[..., n:]
+    return np.concatenate(
+        [rest, 1.0 - rest.sum(axis=-1, keepdims=True)], axis=-1)
+
+
+def _params(theta: np.ndarray, n: int) -> PhaseTypeParams:
+    return PhaseTypeParams(lam=_distinct_rates(-np.exp(theta[:n])),
+                           A=_amplitudes(theta, n))
+
+
+def _positive_ends(theta: np.ndarray, n: int) -> np.ndarray:
+    """Whether f(0) > 0 and the tail is positive, per row of ``theta``.
+
+    With c = -A lambda, f(0) = sum(c), and the coefficient of the slowest
+    rate sets the sign of the tail.
+    """
+    rates = np.exp(theta[:, :n])
+    c = _amplitudes(theta, n) * rates
+    slow = c[np.arange(c.shape[0]), np.argmin(rates, axis=1)]
+    return (c.sum(axis=1) > 0.0) & (slow > 0.0)
+
+
+def _admissible(theta: np.ndarray, n: int, t: np.ndarray) -> bool:
+    """f(0) > 0, a positive tail, and f > 0 at every gap."""
+    return bool(_positive_ends(theta[None], n)[0]
+                 and np.all(density(_params(theta, n), t) > 0.0))
+
+
 def fit_multiexp(
     trace: EventTrace, n_components: int, config: FitConfig = FitConfig()
 ) -> FitResult:
@@ -243,14 +450,14 @@ def fit_multiexp(
 
     The density is f(t) = sum_i (-A_i lambda_i) exp(lambda_i t) with the
     amplitudes summing to one.  Rates are optimized in log-magnitude
-    coordinates with the last amplitude eliminated (see ``_negloglik``);
-    all ``config.restarts`` quasi-Newton runs use the full trace.  Of
-    those, the best by objective whose density is admissible is returned:
-    positive at t = 0, in the tail and at every gap.  Raises
-    InvalidDensity when no run is admissible.
+    coordinates with the last amplitude eliminated (see ``_negloglik``),
+    all ``config.restarts`` starts together by ``_newton_batch``.  A
+    trace longer than ``_SUBSAMPLE`` gaps runs the restarts on a strided
+    subsample, then refines its distinct admissible optima on the full
+    trace.  Of the final runs, the best by objective whose density is
+    admissible is returned: positive at t = 0, in the tail and at every
+    gap.  Raises InvalidDensity when no run is admissible.
     """
-    from scipy.optimize import minimize  # here: slow to import, fit only
-
     n = n_components
     if n < 1:
         raise ValueError("n_components must be at least 1")
@@ -259,33 +466,33 @@ def fit_multiexp(
         raise ValueError(
             f"need at least {10 * (2 * n - 1)} gaps to fit {n} components"
         )
-    log_rate_lo = np.log(0.01 / np.max(t))
-    log_rate_hi = np.log(100.0 / np.min(t))
-    bounds = [(log_rate_lo, log_rate_hi)] * n + [(-10.0, 10.0)] * (n - 1)
-    runs = [minimize(
-        _negloglik,
-        np.clip(theta0, [b[0] for b in bounds], [b[1] for b in bounds]),
-        args=(t, n),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": config.max_iter, "ftol": config.tol},
-    ) for theta0 in _initial_points(t, n, config)]
-    # Best objective first, ties in restart order.  The penalty only acts
-    # at the gaps, so a run can end with a density that is negative at
-    # some gap, at t = 0 or in the tail; the best admissible run wins.
-    # With c = -A lambda, f(0) = sum(c), and the coefficient of the
-    # slowest rate sets the sign of the tail.
-    for best in sorted(range(len(runs)), key=lambda i: runs[i].fun):
-        res = runs[best]
-        lam = _distinct_rates(-np.exp(res.x[:n]))
-        amps = np.empty(n)
-        amps[: n - 1] = res.x[n:]
-        amps[n - 1] = 1.0 - np.sum(res.x[n:])
-        params = PhaseTypeParams(lam=lam, A=amps)
-        c = -amps * lam
-        if (c.sum() > 0.0 and c[np.argmax(lam)] > 0.0
-                and np.all(density(params, t) > 0.0)):
+    lo = np.array([np.log(0.01 / np.max(t))] * n + [-10.0] * (n - 1))
+    hi = np.array([np.log(100.0 / np.min(t))] * n + [10.0] * (n - 1))
+    starts = np.clip(_initial_points(t, n, config), lo, hi)
+    if t.size > _SUBSAMPLE:
+        # Gaps are exchangeable, so every stride-th one is a fair sample.
+        sub = t[:: -(-t.size // _SUBSAMPLE)]
+        theta, fval, converged = _newton_batch(starts, sub, n, lo, hi, config)
+        # The best admissible run, and every other admissible optimum with
+        # rates of its own; a run that left the batch unconverged was
+        # merged into a lower one or stalled.
+        kept: list[np.ndarray] = []
+        for i in np.argsort(fval, kind="stable"):
+            rates = np.sort(theta[i, :n])
+            if ((converged[i] or not kept) and np.isfinite(fval[i])
+                    and _admissible(theta[i], n, sub)
+                    and all(np.abs(rates - np.sort(k[:n])).max() > _NEAR
+                            for k in kept)):
+                kept.append(theta[i])
+        starts = np.reshape(kept, (len(kept), 2 * n - 1))
+    theta, fval, converged = _newton_batch(starts, t, n, lo, hi, config)
+    # Best objective first, ties in run order.  Runs keep f(0) > 0 and a
+    # positive tail, but the penalty only acts at the gaps, so a run can
+    # end with a density that is negative between them; the best
+    # admissible run wins.
+    order = np.argsort(fval, kind="stable")
+    for rank, best in enumerate(order):
+        if np.isfinite(fval[best]) and _admissible(theta[best], n, t):
             break
     else:
         raise InvalidDensity(
@@ -293,15 +500,14 @@ def fit_multiexp(
             "tail and at every observed gap"
         )
     # Converged: this run, or a later one with the same objective, says so.
-    tie = 1e-9 * (1 + abs(res.fun))
-    converged = bool(res.success) or any(
-        r.success and abs(r.fun - res.fun) <= tie for r in runs[best + 1:]
-    )
+    tie = 1e-9 * (1 + abs(fval[best]))
+    later = order[rank:]
     return FitResult(
-        params=params,
-        log_likelihood=float(-res.fun),
-        converged=converged,
-        n_restarts_used=len(runs),
+        params=_params(theta[best], n),
+        log_likelihood=float(-fval[best]),
+        converged=bool(np.any(converged[later]
+                              & (np.abs(fval[later] - fval[best]) <= tie))),
+        n_restarts_used=config.restarts,
     )
 
 

@@ -221,6 +221,14 @@ class TestPipeline:
                            cli._Manifest([]), str(tmp_path / "bad.json"))
         assert not (tmp_path / "bad.json").exists()
 
+    def test_chain_pipeline_inverts_the_chain(self, tmp_path):
+        out = tmp_path / "pipe.json"
+        assert run(["pipeline", "--model", "chain3", "--rates", "1,2,3,4,5",
+                    "--n", 2000, "--seed", 1, "--out", out]) == 0
+        truth = load(out)["ground_truth"]
+        assert truth["best_match_model"] == "chain3"
+        assert 0.0 <= truth["best_match_rel_err"] < 1.0
+
     def test_chain2_pipeline_is_typed_error(self, capsys):
         # The generic three-state formulas need three fitted components.
         assert run(["pipeline", "--model", "chain2", "--rates", "1,2,3",
@@ -235,3 +243,15 @@ class TestPipeline:
         doc = load(out)
         assert doc["solvable"] is False
         assert len(doc["m3_family"]) >= 1
+
+
+def test_parser_is_built_once(capsys):
+    cli.build_parser.cache_clear()
+    reports = []
+    for _ in range(2):
+        assert run(["direct", "--model", "M9", "--rates", "1,2,3,4,5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        del doc["manifest"]["wall_time_s"]
+        reports.append(doc)
+    assert cli.build_parser.cache_info().misses == 1
+    assert reports[0] == reports[1]

@@ -171,20 +171,28 @@ class TestParamsFromMoments:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported where it is used: it would double the time
+    # The library does not use scipy: it would double the time
     # `import phasekit` takes.
     src = os.path.dirname(os.path.dirname(direct.__file__))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, phasekit as pk\n"
+         "import os, sys, phasekit as pk\n"
+         "from phasekit import cli\n"
          "print('scipy' in sys.modules)\n"
          "pk.phase_type_params(pk.build_generator(pk.unbranched_chain(4),\n"
          "                                        range(1, 8)))\n"
+         "print('scipy' in sys.modules)\n"
+         "gen = pk.build_generator(pk.model_from_string('M9'), range(1, 6))\n"
+         "pk.fit_multiexp(pk.simulate_events(gen, 200, 1), 3)\n"
+         "print('scipy' in sys.modules)\n"
+         "cli.main(['pipeline', '--model', 'M9', '--rates', '1,2,3,4,5',\n"
+         "          '--n', '300', '--seed', '1', '--restarts', '2',\n"
+         "          '--out', os.devnull])\n"
          "print('scipy' in sys.modules)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
-    # Nor does the forward map of a chain load it.
-    assert out.stdout.split() == ["False", "False"]
+    # Nor does the forward map of a chain, the fit or the pipeline load it.
+    assert out.stdout.split() == ["False"] * 4
 
 
 class TestForwardAccuracy:

@@ -141,8 +141,8 @@ def _central_gradient(theta, t, n, h=1e-6):
         step[i] = h
         for moved in (theta + step, theta - step):
             assert np.array_equal(_nonpositive_gaps(moved, t, n), bad)
-        hi, _ = stochastic._negloglik(theta + step, t, n)
-        lo, _ = stochastic._negloglik(theta - step, t, n)
+        hi = stochastic._negloglik((theta + step)[None], t, n)[0][0]
+        lo = stochastic._negloglik((theta - step)[None], t, n)[0][0]
         grad[i] = (hi - lo) / (2 * h)
     return grad
 
@@ -176,10 +176,78 @@ def test_negloglik_gradient():
     for n, theta, penalized in cases:
         if penalized is not None:
             assert _nonpositive_gaps(theta, t, n).any() == penalized
-        _, grad = stochastic._negloglik(theta, t, n)
+        grad = stochastic._negloglik(theta[None], t, n)[1][0]
         want = _central_gradient(theta, t, n)
         assert np.linalg.norm(grad - want) <= 1e-6 * np.linalg.norm(want), (
             n, theta)
+
+
+def _gaps():
+    return np.concatenate([np.linspace(0.05, 1.0, 40),
+                           np.linspace(1.1, 6.0, 60)])
+
+
+# Feasible and penalized iterates for n = 1 and n = 3 (see
+# test_negloglik_gradient for why each is penalized or not).
+HESSIAN_CASES = [
+    (1, np.log([2.0]), False),
+    (1, np.log([680.0]), True),
+    (3, np.array([np.log(5.0), np.log(2.0), np.log(0.5), 0.3, 0.3]), False),
+    (3, np.array([np.log(5.0), np.log(2.0), np.log(0.5), 2.0, -1.5]), True),
+    (3, np.array([np.log(8.0), np.log(3.0), np.log(0.7), 10.0, -10.0]), True),
+]
+
+
+@pytest.mark.parametrize("n, theta, penalized", HESSIAN_CASES)
+def test_negloglik_hessian(n, theta, penalized):
+    """The Hessian matches central differences of the gradient."""
+    t, h = _gaps(), 1e-6
+    bad = _nonpositive_gaps(theta, t, n)
+    assert bad.any() == penalized
+    hess = stochastic._negloglik(theta[None], t, n)[2][0]
+    want = np.empty_like(hess)
+    for i in range(theta.size):
+        step = np.zeros_like(theta)
+        step[i] = h
+        for moved in (theta + step, theta - step):
+            assert np.array_equal(_nonpositive_gaps(moved, t, n), bad)
+        hi = stochastic._negloglik((theta + step)[None], t, n)[1][0]
+        lo = stochastic._negloglik((theta - step)[None], t, n)[1][0]
+        want[:, i] = (hi - lo) / (2 * h)
+    assert np.linalg.norm(hess - want) <= 1e-6 * np.linalg.norm(want)
+
+
+def test_negloglik_rows_are_independent():
+    """Each row of a batched evaluation equals its one-row evaluation."""
+    t = _gaps()
+    theta = np.array([case[1] for case in HESSIAN_CASES[2:]])
+    batched = stochastic._negloglik(theta, t, 3)
+    for i, row in enumerate(theta):
+        single = stochastic._negloglik(row[None], t, 3)
+        for got, want in zip(batched, single):
+            np.testing.assert_array_equal(got[i], want[0])
+
+
+def test_negloglik_blocks_sum_to_the_whole(monkeypatch):
+    """Summing over blocks of gaps changes the result only by rounding."""
+    t = _gaps()
+    theta = np.array([case[1] for case in HESSIAN_CASES[2:]])
+    whole = stochastic._negloglik(theta, t, 3)
+    monkeypatch.setattr(stochastic, "_GAP_BLOCK", 7)
+    blocked = stochastic._negloglik(theta, t, 3)
+    for got, want in zip(blocked, whole):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n_events", [1000, 20_000])
+def test_fit_is_reproducible(n_events):
+    # 20 000 gaps exceed _SUBSAMPLE, so the restarts run on the subsample.
+    trace = stochastic.simulate_events(m9_generator(), n_events, seed=12)
+    first = stochastic.fit_multiexp(trace, 3)
+    second = stochastic.fit_multiexp(trace, 3)
+    np.testing.assert_array_equal(first.params.lam, second.params.lam)
+    np.testing.assert_array_equal(first.params.A, second.params.A)
+    assert first.log_likelihood == second.log_likelihood
 
 
 class TestCsv:
