@@ -4,14 +4,14 @@
     python3 scripts/fit_parity.py BASE [--seed-rounds SEED=ROUNDS ...]
         [--no-criterion-9]
 
-Exports the commit ``BASE`` with ``git archive``, as
-``scripts/bench_pairs.py`` does, and starts one worker process per side,
-each importing phasekit from its own tree with BLAS pinned to one
-thread.  The traces are the rounds of the perfbench ``infer`` workload
-(``perfbench/workloads.Infer(seed)``, only read here): 30 rounds of seed
-21 and 20 of seed 22 unless ``--seed-rounds`` says otherwise, that is
-120 and 80 traces of 1000 gaps, plus the criterion-9 trace (M9 at rates
-1..5, 1e6 events, seed 42).  Both sides simulate each trace and fit it
+Exports the commit ``BASE`` with ``git archive`` (``bench_pairs.export``)
+and starts one worker process per side, each importing phasekit from its
+own tree with BLAS pinned to one thread.  The traces are the rounds of
+the perfbench ``infer`` workload (``perfbench/workloads.Infer(seed)``,
+only read here): 30 rounds of seed 21 and 20 of seed 22 unless
+``--seed-rounds`` says otherwise, that is 120 and 80 traces of 1000
+gaps, plus the criterion-9 trace (M9 at rates 1..5, 1e6 events, seed
+42).  Both sides simulate each trace and fit it
 with ``fit_multiexp`` at its default ``FitConfig``; the side that fits
 first alternates from trace to trace, and each worker makes one untimed
 fit before the first.
@@ -37,6 +37,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+from bench_pairs import export  # noqa: E402
+
 #: Relative log-likelihood difference below which two fits count as equal.
 EQUAL_REL = 1e-9
 CRITERION_9 = {"model": "M9", "rates": [1.0, 2.0, 3.0, 4.0, 5.0],
@@ -62,18 +65,6 @@ def worker() -> None:
          "seed": 0})
     for line in sys.stdin:
         print(json.dumps(fit(json.loads(line))), flush=True)
-
-
-def export(commit: str, dest: Path) -> None:
-    """The tree of ``commit`` as plain files under ``dest``."""
-    dest.mkdir()
-    archive = subprocess.Popen(["git", "archive", "--format=tar", commit],
-                               cwd=ROOT, stdout=subprocess.PIPE)
-    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout,
-                   check=True)
-    archive.stdout.close()
-    if archive.wait():
-        raise subprocess.CalledProcessError(archive.returncode, archive.args)
 
 
 def start_worker(tree: Path) -> subprocess.Popen:

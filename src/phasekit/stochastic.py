@@ -34,7 +34,8 @@ _SUBSAMPLE = 2**13
 _EIG_FLOOR = 1e-12
 #: Largest step, in the max-norm of theta.
 _STEP_CAP = 1.0
-#: Armijo sufficient-decrease constant, and the smallest step tried.
+#: Armijo sufficient-decrease constant, and the smallest fraction of a
+#: step tried.
 _ARMIJO = 1e-4
 _MIN_STEP = 2.0**-12
 #: A variable this close to a bound is held there when its gradient,
@@ -468,7 +469,8 @@ def fit_multiexp(
         )
     lo = np.array([np.log(0.01 / np.max(t))] * n + [-10.0] * (n - 1))
     hi = np.array([np.log(100.0 / np.min(t))] * n + [10.0] * (n - 1))
-    starts = np.clip(_initial_points(t, n, config), lo, hi)
+    starts = np.clip(
+        np.reshape(_initial_points(t, n, config), (-1, 2 * n - 1)), lo, hi)
     if t.size > _SUBSAMPLE:
         # Gaps are exchangeable, so every stride-th one is a fair sample.
         sub = t[:: -(-t.size // _SUBSAMPLE)]
