@@ -1,17 +1,15 @@
 #!/usr/bin/env python3
 """Fit quality and fit time of a base commit against this checkout.
 
-    python3 scripts/fit_parity.py BASE [--seed-rounds SEED=ROUNDS ...]
-        [--no-criterion-9]
+    python3 scripts/fit_parity.py BASE
 
 Exports the commit ``BASE`` with ``git archive`` (``bench_pairs.export``)
 and starts one worker process per side, each importing phasekit from its
 own tree with BLAS pinned to one thread.  The traces are the rounds of
 the perfbench ``infer`` workload (``perfbench/workloads.Infer(seed)``,
-only read here): 30 rounds of seed 21 and 20 of seed 22 unless
-``--seed-rounds`` says otherwise, that is 120 and 80 traces of 1000
-gaps, plus the criterion-9 trace (M9 at rates 1..5, 1e6 events, seed
-42).  Both sides simulate each trace and fit it
+only read here): 30 rounds of seed 21 and 20 of seed 22, that is 120
+and 80 traces of 1000 gaps, plus the criterion-9 trace (M9 at rates
+1..5, 1e6 events, seed 42).  Both sides simulate each trace and fit it
 with ``fit_multiexp`` at its default ``FitConfig``; the side that fits
 first alternates from trace to trace, and each worker makes one untimed
 fit before the first.
@@ -42,6 +40,8 @@ from bench_pairs import export  # noqa: E402
 
 #: Relative log-likelihood difference below which two fits count as equal.
 EQUAL_REL = 1e-9
+#: Rounds of 4 ``infer`` traces drawn from each workload seed.
+SEED_ROUNDS = {21: 30, 22: 20}
 CRITERION_9 = {"model": "M9", "rates": [1.0, 2.0, 3.0, 4.0, 5.0],
                "n": 1_000_000, "seed": 42}
 
@@ -89,26 +89,14 @@ def ask(proc: subprocess.Popen, spec: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="commit to compare against")
-    parser.add_argument("--seed-rounds", action="append", default=[],
-                        metavar="SEED=ROUNDS",
-                        help="infer rounds of 4 traces drawn from SEED")
-    parser.add_argument("--no-criterion-9", action="store_true",
-                        help="leave out the 1e6-event trace")
     args = parser.parse_args(argv)
-    seed_rounds = {}
-    for spec in args.seed_rounds or ["21=30", "22=20"]:
-        seed, _, rounds = spec.partition("=")
-        if not (seed.isdigit() and rounds.isdigit()):
-            parser.error("--seed-rounds expects SEED=ROUNDS")
-        seed_rounds[int(seed)] = int(rounds)
-
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import numpy as np
     import workloads
     from phasekit import direct, models, stochastic
 
     specs = []
-    for seed, rounds in seed_rounds.items():
+    for seed, rounds in SEED_ROUNDS.items():
         infer = workloads.Infer(seed)
         for _ in range(rounds):
             for item in infer.next_round():
@@ -116,8 +104,7 @@ def main(argv=None) -> int:
                               "rates": item.rates.tolist(),
                               "n": workloads.N_EVENTS,
                               "seed": item.extra["sim_seed"]})
-    if not args.no_criterion_9:
-        specs.append(CRITERION_9)
+    specs.append(CRITERION_9)
 
     base_sha = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT,
                               check=True, capture_output=True,

@@ -27,7 +27,9 @@ MAX_JUMPS = 10**7
 _GAP_BLOCK = 2**13
 #: Traces longer than this run their restarts on a strided subsample of
 #: this many gaps at most, then refine the distinct optima on the full
-#: trace.
+#: trace.  Near 2**12 gaps both ways take the same time; above 2**13 the
+#: subsample way is faster, and a smaller subsample more often settles
+#: in a worse optimum.
 _SUBSAMPLE = 2**13
 #: Eigenvalues of the Hessian below this share of its largest one are
 #: raised to it.
@@ -335,6 +337,16 @@ def _newton_step(theta, grad, hess, lo, hi):
     return step, decrement
 
 
+def _same_optimum(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Whether each row of ``a`` is at the optimum of each row of ``b``.
+
+    Two runs are at one optimum when their sorted log-rates are within
+    ``_NEAR`` in the max-norm; returns a (rows of a, rows of b) array.
+    """
+    ra, rb = np.sort(a[:, :n], axis=1), np.sort(b[:, :n], axis=1)
+    return np.abs(ra[:, None] - rb[None, :]).max(axis=2) <= _NEAR
+
+
 def _newton_batch(theta, t, n, lo, hi, config: FitConfig):
     """Minimize ``_negloglik`` from every row of ``theta`` at once.
 
@@ -350,8 +362,8 @@ def _newton_batch(theta, t, n, lo, hi, config: FitConfig):
 
     A row leaves the batch when its decrement falls to (``config.tol``
     |f|)^2, after trying that last step; when no step down to
-    ``_MIN_STEP`` lowers its objective; or when its sorted log-rates come
-    within ``_NEAR`` of those of a row with a lower objective.  Returns
+    ``_MIN_STEP`` lowers its objective; or when it is at the optimum of a
+    row with a lower objective (``_same_optimum``).  Returns
     the final rows, their objectives and whether each stopped on the
     decrement.
     """
@@ -405,8 +417,7 @@ def _newton_batch(theta, t, n, lo, hi, config: FitConfig):
         # Merge: a row at the rates of a row with a lower objective leaves.
         idx = np.flatnonzero(active)
         if idx.size > 1:
-            rates = np.sort(theta[idx, :n], axis=1)
-            near = np.abs(rates[:, None] - rates[None, :]).max(axis=2) <= _NEAR
+            near = _same_optimum(theta[idx], theta[idx], n)
             fv = fval[idx]
             lower = (fv[None, :] < fv[:, None]) | (
                 (fv[None, :] == fv[:, None]) & (idx[None, :] < idx[:, None]))
@@ -478,15 +489,13 @@ def fit_multiexp(
         # The best admissible run, and every other admissible optimum with
         # rates of its own; a run that left the batch unconverged was
         # merged into a lower one or stalled.
-        kept: list[np.ndarray] = []
+        kept = theta[:0]
         for i in np.argsort(fval, kind="stable"):
-            rates = np.sort(theta[i, :n])
-            if ((converged[i] or not kept) and np.isfinite(fval[i])
+            if ((converged[i] or not kept.size) and np.isfinite(fval[i])
                     and _admissible(theta[i], n, sub)
-                    and all(np.abs(rates - np.sort(k[:n])).max() > _NEAR
-                            for k in kept)):
-                kept.append(theta[i])
-        starts = np.reshape(kept, (len(kept), 2 * n - 1))
+                    and not _same_optimum(theta[i:i + 1], kept, n).any()):
+                kept = np.vstack([kept, theta[i]])
+        starts = kept
     theta, fval, converged = _newton_batch(starts, t, n, lo, hi, config)
     # Best objective first, ties in run order.  Runs keep f(0) > 0 and a
     # positive tail, but the penalty only acts at the gaps, so a run can
