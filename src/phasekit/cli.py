@@ -27,7 +27,7 @@ import numpy as np
 import jsonschema
 
 from . import __version__
-from . import direct, inverse, models, rashomon, stochastic
+from . import direct, inverse, models, rashomon, simple_systems, stochastic
 from .errors import (
     GenericBranchMiss,
     M3HypersurfaceMiss,
@@ -46,20 +46,19 @@ _NO_SOLUTION_ERRORS = (
 )
 
 
-def _round17(obj):
-    """Normalize every float in a JSON tree to 17 significant digits."""
-    if isinstance(obj, float):
-        return float(f"{obj:.17g}")
+def _plain(obj):
+    """A JSON tree with numpy numbers and arrays as Python numbers and
+    lists, and tuples as lists."""
     if isinstance(obj, dict):
-        return {k: _round17(v) for k, v in obj.items()}
+        return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round17(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.17g}")
-    if isinstance(obj, (np.integer,)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
-        return [_round17(v) for v in obj.tolist()]
+        return _plain(obj.tolist())
     return obj
 
 
@@ -111,7 +110,7 @@ def _emit_json(payload: dict, schema_name: str, manifest: _Manifest,
                out: str | None) -> None:
     payload = dict(payload)
     payload["manifest"] = manifest.as_dict()
-    payload = _round17(payload)
+    payload = _plain(payload)
     # The error jsonschema.validate would raise, without re-checking the
     # schema document on every report.
     error = jsonschema.exceptions.best_match(
@@ -196,7 +195,7 @@ def _cmd_simulate(args, manifest: _Manifest) -> int:
     trace = stochastic.simulate_events(gen, args.n, args.seed)
     stochastic.write_trace_csv(trace, args.out)
     with open(args.out + ".manifest.json", "w") as fh:
-        json.dump(_round17(manifest.as_dict()), fh, indent=2)
+        json.dump(_plain(manifest.as_dict()), fh, indent=2)
         fh.write("\n")
     return 0
 
@@ -226,14 +225,12 @@ def _cmd_invert(args, manifest: _Manifest) -> int:
         sols = [inverse.invert_unbranched(model.n, p)]
     else:
         m = _moments_from_args(args)
-        k3_grid = tuple(_parse_floats(args.k3_grid)) if args.k3_grid else None
         if args.thomas:
             sols = inverse.invert_thomas(model, m)
         else:
-            kwargs = {}
-            if k3_grid:
-                kwargs["k3_grid"] = k3_grid
-            sols = inverse.invert_generic(model, m, **kwargs)
+            grid = tuple(_parse_floats(args.k3_grid or ""))
+            sols = inverse.invert_generic(model, m,
+                                          grid or simple_systems.FREE_GRID)
         payload_m = {"L": list(m.L), "S": list(m.S)}
     payload = {
         "model": str(model),

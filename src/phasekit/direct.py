@@ -64,10 +64,6 @@ class SymmetricMoments:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.L, self.S])
 
-    @property
-    def scale(self) -> float:
-        return float(np.max(np.abs(self.as_vector()), initial=1.0))
-
 
 @dataclass(frozen=True)
 class Spectrum:

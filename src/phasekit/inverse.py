@@ -29,9 +29,6 @@ from .direct import PhaseTypeParams, SymmetricMoments
 from .errors import (GenericBranchMiss, M3HypersurfaceMiss,
                      NegativeDiscriminant, WrongArity, ZeroPivot)
 
-DEFAULT_TOL = 1e-9
-DEFAULT_K3_GRID = (0.1, 1.0, 10.0)
-
 _EPS = np.finfo(float).eps
 #: Band of the generic-branch inequations, as a fraction of the sum of the
 #: absolute values of each polynomial's terms.  It covers the rounding
@@ -340,8 +337,8 @@ def generic_branches(tag: str, m: SymmetricMoments):
 
 
 def invert_generic(model: models.ModelId, m: SymmetricMoments,
-                   k3_grid=DEFAULT_K3_GRID,
-                   hypersurface_tol: float = DEFAULT_TOL
+                   k3_grid=simple_systems.FREE_GRID,
+                   hypersurface_tol: float = simple_systems.TOL
                    ) -> list[InverseSolution]:
     """Closed-form solutions of the generic branch for one catalog model.
 
@@ -352,15 +349,18 @@ def invert_generic(model: models.ModelId, m: SymmetricMoments,
     when the quadratic branch turns complex.  The M3 family exists only
     on the solvability hypersurface G = 0, tested as |G| <=
     ``hypersurface_tol`` times the sum of the absolute values of G's
-    terms; a looser value admits inputs estimated from finite data.
+    terms; a looser value admits inputs estimated from finite data.  Its
+    free rate k3 takes each value of ``k3_grid``.  Both default to the
+    Thomas search's band and grid: the family is its system 1 of M3.
     """
     return make_solutions(m, generic_candidates(model, m, k3_grid,
                                                 hypersurface_tol))
 
 
 def generic_candidates(model: models.ModelId, m: SymmetricMoments,
-                       k3_grid=DEFAULT_K3_GRID,
-                       hypersurface_tol: float = DEFAULT_TOL) -> list[tuple]:
+                       k3_grid=simple_systems.FREE_GRID,
+                       hypersurface_tol: float = simple_systems.TOL
+                       ) -> list[tuple]:
     """The solutions of :func:`invert_generic`, unpolished."""
     if model != models.M3:
         # As a batch of one: numpy's scalar powers can differ in the last

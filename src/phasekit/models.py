@@ -105,10 +105,6 @@ class Generator:
     has_nonpositive_rate: bool
 
     @property
-    def observed_state(self) -> int:
-        return self.N + 1
-
-    @property
     def exit_rate(self) -> float:
         """Rate of the exit arc N -> N+1 (the last rate in the layout)."""
         return float(self.rates[-1])

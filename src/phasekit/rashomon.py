@@ -131,9 +131,9 @@ _FALLBACK_ERRORS = (GenericBranchMiss, NegativeDiscriminant,
                     M3HypersurfaceMiss, ZeroPivot)
 
 
-def enumerate_variants(p: PhaseTypeParams,
-                       include_models=models.SOLVABLE_N3) -> VariantReport:
-    """Invert the input under every requested model and attach markers.
+def enumerate_variants(p: PhaseTypeParams) -> VariantReport:
+    """Invert the input under every model of ``models.SOLVABLE_N3`` and
+    attach markers.
 
     The candidate solutions of all models (generic closed forms, or the
     Thomas search where those fail) are polished together in one batch.
@@ -151,7 +151,7 @@ def enumerate_variants(p: PhaseTypeParams,
     m = inverse.symmetric_inputs(p)
     candidates = []
     diagnostics: dict[str, str] = {}
-    for model in include_models:
+    for model in models.SOLVABLE_N3:
         try:
             candidates += inverse.generic_candidates(model, m)
         except _FALLBACK_ERRORS as exc:
@@ -187,16 +187,24 @@ def enumerate_variants(p: PhaseTypeParams,
 # Discrimination experiment
 
 
+#: Draws of the experiment's inputs: see ``_draw_moments``.
+EXPONENT_RANGE = (-4.0, 0.0)
+TOL_SEP = 1e-6
+#: A spread at most this large counts as zero.
+ZERO_DELTA_TOL = 1e-9
+#: Histogram bins, over [0, 1] for delta p1 and [0, LOG_DELTA_MAX] for
+#: the log10 T spreads.
+N_BINS = 50
+LOG_DELTA_MAX = 4.0
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Size and seed of the discrimination experiment; the rest of its
+    design is the module constants above."""
+
     n_samples: int = 100_000
     seed: int = 7
-    exponent_range: tuple[float, float] = (-4.0, 0.0)
-    tol_sep: float = 1e-6
-    zero_delta_tol: float = 1e-9
-    models: tuple[str, ...] = ("M2", "M4", "M8", "M9")
-    n_bins: int = 50
-    log_delta_max: float = 4.0
 
 
 @dataclass
@@ -219,21 +227,21 @@ class ExperimentReport:
 _BLOCK = 1 << 13
 
 
-def _draw_moments(rng, n: int, cfg: ExperimentConfig) -> SymmetricMoments:
+def _draw_moments(rng, n: int) -> SymmetricMoments:
     """Symmetric moments of ``n`` random three-exponential inputs.
 
     A1, A2 are uniform on [0, 1] with A3 = 1 - A1 - A2; the decay rates
-    are log-uniform over the exponent range, and a sample's three rates
-    are redrawn until they are separated by more than ``tol_sep`` of the
+    are log-uniform over ``EXPONENT_RANGE``, and a sample's three rates
+    are redrawn until they are separated by more than ``TOL_SEP`` of the
     largest.
     """
-    lo, hi = cfg.exponent_range
+    lo, hi = EXPONENT_RANGE
     a1, a2 = rng.uniform(size=(2, n))
     a3 = 1.0 - a1 - a2
     lam = -10.0 ** rng.uniform(lo, hi, size=(n, 3))
     while True:
         sep = np.min(np.abs(lam[:, [0, 0, 1]] - lam[:, [1, 2, 2]]), axis=1)
-        close = sep <= cfg.tol_sep * np.max(np.abs(lam), axis=1)
+        close = sep <= TOL_SEP * np.max(np.abs(lam), axis=1)
         if not close.any():
             break
         lam[close] = -10.0 ** rng.uniform(lo, hi, size=(close.sum(), 3))
@@ -244,7 +252,7 @@ def _draw_moments(rng, n: int, cfg: ExperimentConfig) -> SymmetricMoments:
            a1 * l1 ** 2 + a2 * l2 ** 2 + a3 * l3 ** 2))
 
 
-def _retained_deltas(cfg: ExperimentConfig, m: SymmetricMoments):
+def _retained_deltas(m: SymmetricMoments):
     """Spreads of p1, log10 T1 and log10 T2 over the valid variants.
 
     A variant is a generic-branch solution whose inequations hold and
@@ -258,11 +266,10 @@ def _retained_deltas(cfg: ExperimentConfig, m: SymmetricMoments):
     low = np.full(shape, np.inf)
     high = np.full(shape, -np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for tag in cfg.models:
-            for rates, ok in inverse.generic_branches(tag, m)[0]:
+        for model in models.SOLVABLE_N3:
+            for rates, ok in inverse.generic_branches(model.tag, m)[0]:
                 keep = ok & inverse.clearly_positive(rates)
-                (T1, T2, _), (p1, _, _) = direct.no_exit_markers(
-                    models.ModelId(tag), rates)
+                (T1, T2, _), (p1, _, _) = direct.no_exit_markers(model, rates)
                 marks = np.array([p1, np.log10(T1), np.log10(T2)])
                 low = np.where(keep, np.minimum(low, marks), low)
                 high = np.where(keep, np.maximum(high, marks), high)
@@ -274,28 +281,28 @@ def discrimination_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     Each sample draws amplitudes A1, A2 uniform on [0,1] (A3 completes
     the sum to 1) and three decay rates log-uniform over four decades,
-    inverts every requested model with the generic closed forms of
-    invert_generic, retains the sample if any model has an all-positive
-    real solution, and records the spreads of p_1 and log10 T_1,
-    log10 T_2 across all valid variants.  All samples come from one
-    stream seeded with ``cfg.seed``, drawn and inverted in blocks of
-    fixed size, so a seed gives the same report every time.
+    inverts every model of ``models.SOLVABLE_N3`` with the generic
+    closed forms of invert_generic, retains the sample if any model has
+    an all-positive real solution, and records the spreads of p_1 and
+    log10 T_1, log10 T_2 across all valid variants.  All samples come
+    from one stream seeded with ``cfg.seed``, drawn and inverted in
+    blocks of fixed size, so a seed gives the same report every time.
     """
     rng = np.random.default_rng(cfg.seed)
-    p_edges = np.linspace(0.0, 1.0, cfg.n_bins + 1)
-    t_edges = np.linspace(0.0, cfg.log_delta_max, cfg.n_bins + 1)
+    p_edges = np.linspace(0.0, 1.0, N_BINS + 1)
+    t_edges = np.linspace(0.0, LOG_DELTA_MAX, N_BINS + 1)
     n_ret = 0
     zero = np.zeros(3, dtype=np.int64)
-    counts = np.zeros((3, cfg.n_bins), dtype=np.int64)
+    counts = np.zeros((3, N_BINS), dtype=np.int64)
     for start in range(0, cfg.n_samples, _BLOCK):
         n = min(_BLOCK, cfg.n_samples - start)
-        deltas = _retained_deltas(cfg, _draw_moments(rng, n, cfg))
+        deltas = _retained_deltas(_draw_moments(rng, n))
         n_ret += deltas.shape[1]
-        zero += np.sum(deltas <= cfg.zero_delta_tol, axis=1)
+        zero += np.sum(deltas <= ZERO_DELTA_TOL, axis=1)
         for j, edges in enumerate((p_edges, t_edges, t_edges)):
             bins = np.searchsorted(edges, deltas[j], side="right") - 1
-            counts[j] += np.bincount(np.minimum(bins, cfg.n_bins - 1),
-                                     minlength=cfg.n_bins)
+            counts[j] += np.bincount(np.minimum(bins, N_BINS - 1),
+                                     minlength=N_BINS)
 
     denom = max(n_ret, 1)
     return ExperimentReport(

@@ -21,7 +21,13 @@ from .direct import PhaseTypeParams, density, survival
 from .errors import InvalidDensity, NonErgodic
 from .models import Generator, ModelId, validate
 
+#: Jumps a walker may take before ``simulate_events`` gives up.
 MAX_JUMPS = 10**7
+#: Newton steps each run of the fit may take.
+MAX_ITER = 500
+#: A run of the fit stops once its Newton decrement, sqrt(g^T H^-1 g),
+#: is at most this share of |f|.
+FIT_TOL = 1e-8
 #: Gaps per block of the likelihood sums, so that one evaluation holds a
 #: bounded table at any trace length.
 _GAP_BLOCK = 2**13
@@ -76,17 +82,14 @@ class EventTrace:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the multistart likelihood optimizer.
+    """Settings of the multistart likelihood optimizer.
 
-    ``restarts`` starts advance together; ``max_iter`` caps the Newton
-    steps of each; a run stops once its Newton decrement, sqrt(g^T H^-1
-    g), is at most ``tol`` |f| for the objective f; ``seed`` draws the
-    random starts.
+    ``restarts`` starts advance together, and ``seed`` draws the random
+    ones.  Each run takes at most ``MAX_ITER`` Newton steps and stops
+    once its Newton decrement is at most ``FIT_TOL`` |f|.
     """
 
     restarts: int = 20
-    max_iter: int = 500
-    tol: float = 1e-8
     seed: int = 0
 
 
@@ -104,13 +107,13 @@ def simulate_events(
     gen: Generator,
     n_events: int,
     seed: int,
-    max_jumps: int = MAX_JUMPS,
 ) -> EventTrace:
     """Draw inter-event times by exponential-clock simulation.
 
     All walkers start in the return state; a walker finishes its event
     when it jumps into the absorbing state.  The simulation is vectorized
-    over events and is deterministic for a fixed seed.
+    over events and is deterministic for a fixed seed.  Raises
+    NonErgodic when a walker is still moving after ``MAX_JUMPS`` jumps.
     """
     report = validate(gen)
     if not report.ok:
@@ -134,7 +137,7 @@ def simulate_events(
     state = np.full(n_events, gen.return_state - 1, dtype=np.intp)
     gaps = np.zeros(n_events)
     active = np.arange(n_events)
-    for _ in range(max_jumps):
+    for _ in range(MAX_JUMPS):
         cur = state[active]
         rate = exit_rates[cur]
         gaps[active] += rng.exponential(1.0, size=active.size) / rate
@@ -150,7 +153,7 @@ def simulate_events(
                 rates=np.array(gen.rates, dtype=float),
             )
     raise NonErgodic(
-        f"{active.size} walkers failed to absorb within {max_jumps} jumps"
+        f"{active.size} walkers failed to absorb within {MAX_JUMPS} jumps"
     )
 
 
@@ -285,13 +288,13 @@ def _initial_points(
     return points
 
 
-def _distinct_rates(lam: np.ndarray, rel: float = 1e-8) -> np.ndarray:
-    """Nudge coincident rates apart so the parameter invariants hold."""
+def _distinct_rates(lam: np.ndarray) -> np.ndarray:
+    """Nudge coincident rates 1e-8 relative apart, as the invariants need."""
     lam = np.array(lam, dtype=float)
     order = np.argsort(lam)
     for i, j in zip(order[:-1], order[1:]):
         gap = lam[j] - lam[i]
-        floor = rel * max(abs(lam[i]), abs(lam[j]))
+        floor = 1e-8 * max(abs(lam[i]), abs(lam[j]))
         if gap < floor:
             lam[j] = lam[i] + floor
     return lam
@@ -347,7 +350,7 @@ def _same_optimum(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return np.abs(ra[:, None] - rb[None, :]).max(axis=2) <= _NEAR
 
 
-def _newton_batch(theta, t, n, lo, hi, config: FitConfig):
+def _newton_batch(theta, t, n, lo, hi):
     """Minimize ``_negloglik`` from every row of ``theta`` at once.
 
     Every active row takes one ``_newton_step`` per iteration; each round
@@ -360,7 +363,7 @@ def _newton_batch(theta, t, n, lo, hi, config: FitConfig):
     curved valley where the straight step leaves it; a correction that
     fails too, or a point without positive ends, halves the step.
 
-    A row leaves the batch when its decrement falls to (``config.tol``
+    A row leaves the batch when its decrement falls to (``FIT_TOL``
     |f|)^2, after trying that last step; when no step down to
     ``_MIN_STEP`` lowers its objective; or when it is at the optimum of a
     row with a lower objective (``_same_optimum``).  Returns
@@ -371,13 +374,13 @@ def _newton_batch(theta, t, n, lo, hi, config: FitConfig):
     fval, grad, hess = _negloglik(theta, t, n)
     active = np.isfinite(fval)
     converged = np.zeros(fval.size, dtype=bool)
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         th, f0, g0 = theta[idx], fval[idx], grad[idx]
         step, decrement = _newton_step(th, g0, hess[idx], lo, hi)
-        final = decrement <= np.square(config.tol * f0)
+        final = decrement <= np.square(FIT_TOL * f0)
         alpha = np.ones(idx.size)
         corrected = np.zeros(idx.size, dtype=bool)
         moved = np.zeros(idx.size, dtype=bool)
@@ -485,7 +488,7 @@ def fit_multiexp(
     if t.size > _SUBSAMPLE:
         # Gaps are exchangeable, so every stride-th one is a fair sample.
         sub = t[:: -(-t.size // _SUBSAMPLE)]
-        theta, fval, converged = _newton_batch(starts, sub, n, lo, hi, config)
+        theta, fval, converged = _newton_batch(starts, sub, n, lo, hi)
         # The best admissible run, and every other admissible optimum with
         # rates of its own; a run that left the batch unconverged was
         # merged into a lower one or stalled.
@@ -496,7 +499,7 @@ def fit_multiexp(
                     and not _same_optimum(theta[i:i + 1], kept, n).any()):
                 kept = np.vstack([kept, theta[i]])
         starts = kept
-    theta, fval, converged = _newton_batch(starts, t, n, lo, hi, config)
+    theta, fval, converged = _newton_batch(starts, t, n, lo, hi)
     # Best objective first, ties in run order.  Runs keep f(0) > 0 and a
     # positive tail, but the penalty only acts at the gaps, so a run can
     # end with a density that is negative between them; the best
@@ -531,12 +534,12 @@ def write_trace_csv(trace: EventTrace, path: str) -> None:
             writer.writerow([repr(float(gap))])
 
 
-def read_trace_csv(path: str, seed: int = 0) -> EventTrace:
-    """Load a trace from a one-column ``gap`` CSV."""
+def read_trace_csv(path: str) -> EventTrace:
+    """Load a trace from a one-column ``gap`` CSV, with seed 0."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["gap"]:
             raise ValueError("expected a CSV with a single 'gap' column")
         gaps = [float(row[0]) for row in reader if row]
-    return EventTrace(gaps=np.array(gaps), seed=seed)
+    return EventTrace(gaps=np.array(gaps), seed=0)

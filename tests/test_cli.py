@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from phasekit import cli
+from phasekit import cli, direct, models
 from phasekit.cli import main
 
 
@@ -30,6 +30,16 @@ class TestDirectInvert:
         np.testing.assert_allclose(doc["moments"]["S"], [-5.0, 60.0],
                                    rtol=1e-9)
         assert doc["manifest"]["tool_version"]
+
+    def test_direct_floats_read_back_exactly(self, tmp_path):
+        out = tmp_path / "params.json"
+        assert run(["direct", "--model", "M9", "--rates", "1,2,3,4,5",
+                    "--out", out]) == 0
+        doc = load(out)
+        p = direct.phase_type_params(models.build_generator(
+            models.M9, np.array([1.0, 2.0, 3.0, 4.0, 5.0])))
+        np.testing.assert_array_equal(doc["lam"], p.lam)
+        np.testing.assert_array_equal(doc["A"], p.A)
 
     def test_invert_worked_example(self, tmp_path):
         out = tmp_path / "sols.json"

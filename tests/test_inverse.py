@@ -125,6 +125,19 @@ class TestThomasSearch:
         sols = inverse.invert_thomas(model, m)
         assert best_recovery(sols, rates) < 1e-7
 
+    @pytest.mark.parametrize("rates", [[1.0, 2.0, 3.0, 4.0, 5.0],
+                                       [0.02, 3.0, 0.7, 11.0, 0.4]])
+    def test_m3_family_is_thomas_system_1(self, rates):
+        # The closed-form M3 family and Thomas system 1 of M3 are one
+        # family, so they share the free-rate grid and the band.
+        model, m = forward_moments("M3", rates)
+        generic = inverse.invert_generic(model, m)
+        full = inverse.invert_thomas(model, m)
+        assert [s.free_params for s in generic] == [
+            s.free_params for s in full]
+        for g, t in zip(generic, full):
+            np.testing.assert_allclose(g.rates, t.rates, rtol=1e-12, atol=0)
+
     def test_branch_labels(self):
         sols = inverse.invert_thomas(models.M9, M9_MOMENTS)
         assert all(s.branch.startswith("S") for s in sols)

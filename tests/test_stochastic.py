@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phasekit import direct, models, stochastic
+from phasekit.errors import NonErgodic
 
 
 def m9_generator():
@@ -47,6 +48,11 @@ class TestSimulate:
     def test_all_gaps_positive(self):
         trace = stochastic.simulate_events(m9_generator(), 2000, seed=5)
         assert np.all(trace.gaps > 0.0)
+
+    def test_walkers_left_after_max_jumps_raise(self, monkeypatch):
+        monkeypatch.setattr(stochastic, "MAX_JUMPS", 1)
+        with pytest.raises(NonErgodic, match="within 1 jumps"):
+            stochastic.simulate_events(m9_generator(), 100, seed=0)
 
 
 class TestEmpiricalSurvival:
