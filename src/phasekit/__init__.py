@@ -30,6 +30,7 @@ from .errors import (
     M3HypersurfaceMiss,
     NegativeDiscriminant,
     NoBranchMatches,
+    NoSolution,
     NonErgodic,
     PhasekitError,
     SingularSteadyState,
@@ -42,7 +43,6 @@ from .inverse import (
     invert_thomas,
     invert_unbranched,
     roundtrip_residual,
-    symmetric_inputs,
 )
 from .models import (
     Generator,

@@ -10,7 +10,7 @@ simulate-fit-variants ``pipeline``.
 Every JSON artifact embeds a run manifest (tool version, argv, seeds,
 input checksums, wall time) and is checked against the schemas shipped
 with the package before being written.  Exit codes: 0 success, 2 domain
-or input errors, 3 no solution found.
+or input errors, 3 no solution found (``errors.NoSolution``).
 """
 
 from __future__ import annotations
@@ -28,22 +28,7 @@ import jsonschema
 
 from . import __version__
 from . import direct, inverse, models, rashomon, simple_systems, stochastic
-from .errors import (
-    GenericBranchMiss,
-    M3HypersurfaceMiss,
-    NegativeDiscriminant,
-    NoBranchMatches,
-    PhasekitError,
-    ZeroPivot,
-)
-
-_NO_SOLUTION_ERRORS = (
-    NoBranchMatches,
-    GenericBranchMiss,
-    NegativeDiscriminant,
-    M3HypersurfaceMiss,
-    ZeroPivot,
-)
+from .errors import NoBranchMatches, NoSolution, PhasekitError
 
 
 def _plain(obj):
@@ -149,7 +134,7 @@ def _moments_from_args(args) -> direct.SymmetricMoments:
         if vals.size != 5:
             raise PhasekitError("--moments expects L1,L2,L3,S1,S2")
         return direct.SymmetricMoments(L=tuple(vals[:3]), S=tuple(vals[3:]))
-    return inverse.symmetric_inputs(_params_from_args(args))
+    return direct.moments(_params_from_args(args))
 
 
 def _solution_dict(sol: inverse.InverseSolution) -> dict:
@@ -225,12 +210,12 @@ def _cmd_invert(args, manifest: _Manifest) -> int:
         sols = [inverse.invert_unbranched(model.n, p)]
     else:
         m = _moments_from_args(args)
-        if args.thomas:
-            sols = inverse.invert_thomas(model, m)
-        else:
-            grid = tuple(_parse_floats(args.k3_grid or ""))
-            sols = inverse.invert_generic(model, m,
-                                          grid or simple_systems.FREE_GRID)
+        grid = tuple(_parse_floats(args.k3_grid or ""))
+        sols = inverse.make_solutions(m, inverse.candidates(
+            model, m, grid or simple_systems.FREE_GRID))
+        if not sols:
+            raise NoBranchMatches(f"no real solution of {model} for "
+                                  "these moments")
         payload_m = {"L": list(m.L), "S": list(m.S)}
     payload = {
         "model": str(model),
@@ -337,44 +322,31 @@ def _cmd_pipeline(args, manifest: _Manifest) -> int:
     model = models.model_from_string(args.model)
     rates = _parse_floats(args.rates)
     gen = models.build_generator(model, rates)
+    config = stochastic.FitConfig(restarts=args.restarts, seed=args.fit_seed)
     manifest.note_seed("simulate", args.seed)
     manifest.note_seed("fit", args.fit_seed)
     trace = stochastic.simulate_events(gen, args.n, args.seed)
     truth = direct.phase_type_params(gen)
-    config = stochastic.FitConfig(restarts=args.restarts, seed=args.fit_seed)
     fit = stochastic.fit_multiexp(trace, gen.N, config)
     report = rashomon.enumerate_variants(fit.params)
-    solvable = model.tag in {m.tag for m in models.SOLVABLE_N3} or (
-        model.tag == "chain"
-    )
-    ground_truth = {
-        "rates": list(rates),
-        "best_match_model": None,
-        "best_match_rel_err": None,
-    }
+    solvable = model in models.SOLVABLE_N3 or model.tag == "chain"
+    # The generating model's own solutions: the chain inverse, or its
+    # valid variants (none for M3, which enumerate_variants skips).
     if model.tag == "chain":
         try:
-            sol = inverse.invert_unbranched(model.n, fit.params)
-        except _NO_SOLUTION_ERRORS:
-            pass
-        else:
-            ground_truth["best_match_model"] = str(model)
-            ground_truth["best_match_rel_err"] = float(
-                np.max(np.abs(sol.rates - rates) / np.abs(rates)))
-    elif solvable:
-        best = None
-        for inst in report.instances:
-            if str(inst.solution.model) != str(model) or not inst.valid:
-                continue
-            rel = float(
-                np.max(np.abs(np.asarray(inst.solution.rates) - rates)
-                       / np.abs(rates))
-            )
-            if best is None or rel < best:
-                best = rel
-        if best is not None:
-            ground_truth["best_match_model"] = str(model)
-            ground_truth["best_match_rel_err"] = best
+            own = [inverse.invert_unbranched(model.n, fit.params)]
+        except NoSolution:
+            own = []
+    else:
+        own = [i.solution for i in report.instances
+               if i.valid and i.solution.model == model]
+    errs = [float(np.max(np.abs(s.rates - rates) / np.abs(rates)))
+            for s in own]
+    ground_truth = {
+        "rates": list(rates),
+        "best_match_model": str(model) if errs else None,
+        "best_match_rel_err": min(errs, default=None),
+    }
     family = None
     if model.tag == "M3":
         # The one-parameter family exists only on a moment hypersurface;
@@ -382,11 +354,11 @@ def _cmd_pipeline(args, manifest: _Manifest) -> int:
         try:
             fam = inverse.invert_generic(
                 model,
-                inverse.symmetric_inputs(fit.params),
+                direct.moments(fit.params),
                 hypersurface_tol=args.m3_tol,
             )
             family = [_solution_dict(s) for s in fam]
-        except _NO_SOLUTION_ERRORS:
+        except NoSolution:
             family = []
     payload = {
         "model": str(model),
@@ -457,9 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", help="decay rates, comma-separated")
     p.add_argument("--A", help="amplitudes, comma-separated")
     p.add_argument("--moments", help="L1,L2,L3,S1,S2")
-    p.add_argument("--thomas", action="store_true",
-                   help="search every simple system, not just the generic one")
-    p.add_argument("--k3-grid", help="sample values for the free rate of M3")
+    p.add_argument("--k3-grid",
+                   help="sample values for the free rate of the M3 family")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=_cmd_invert)
 
@@ -502,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
     manifest = _Manifest(["phasekit"] + argv)
     try:
         return args.func(args, manifest)
-    except _NO_SOLUTION_ERRORS as exc:
+    except NoSolution as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 3

@@ -25,19 +25,23 @@ class InvalidDensity(PhasekitError):
     """Fitted density cannot be kept positive on the data support."""
 
 
-class GenericBranchMiss(PhasekitError):
+class NoSolution(PhasekitError):
+    """The solvers found no rate vector for the input; the CLI exits 3."""
+
+
+class GenericBranchMiss(NoSolution):
     """Input violates an inequation of the generic inversion branch."""
 
 
-class NegativeDiscriminant(PhasekitError):
+class NegativeDiscriminant(NoSolution):
     """Quadratic discriminant of the generic branch is negative."""
 
 
-class M3HypersurfaceMiss(PhasekitError):
+class M3HypersurfaceMiss(NoSolution):
     """Moments do not lie on the M3 solution hypersurface."""
 
 
-class NoBranchMatches(PhasekitError):
+class NoBranchMatches(NoSolution):
     """No triangular branch accepts the moment vector; diagnostics attached."""
 
     def __init__(self, message, diagnostics=None):
@@ -45,7 +49,7 @@ class NoBranchMatches(PhasekitError):
         self.diagnostics = diagnostics or []
 
 
-class ZeroPivot(PhasekitError):
+class ZeroPivot(NoSolution):
     """A divisor in the chain recursion fell below the pivot threshold."""
 
 

@@ -11,9 +11,10 @@ Three solver paths are provided:
   1 <-> 2 <-> ... <-> N -> N+1 of any length.
 
 The first two also give their candidates unrefined
-(``generic_candidates``, ``thomas_candidates``), and ``make_solutions``
-Newton-refines the candidates of one input, whatever their models, in one
-batch.  Every returned solution carries a forward round-trip residual;
+(``generic_candidates``, ``thomas_candidates``); ``candidates`` takes the
+generic branch where it applies and the Thomas search elsewhere, and
+``make_solutions`` Newton-refines the candidates of one input, whatever
+their models, in one batch.  Every returned solution carries a forward round-trip residual;
 that residual, not the solver algebra, is the acceptance oracle.
 """
 
@@ -27,7 +28,7 @@ from mpmath import mp
 from . import direct, models, simple_systems
 from .direct import PhaseTypeParams, SymmetricMoments
 from .errors import (GenericBranchMiss, M3HypersurfaceMiss,
-                     NegativeDiscriminant, WrongArity, ZeroPivot)
+                     NegativeDiscriminant, NoSolution, WrongArity, ZeroPivot)
 
 _EPS = np.finfo(float).eps
 #: Band of the generic-branch inequations, as a fraction of the sum of the
@@ -66,11 +67,6 @@ def clearly_positive(k) -> np.ndarray:
     """
     k = np.asarray(k, dtype=float)
     return k.min(axis=0) > _ROUNDING_BAND * k.max(axis=0)
-
-
-def symmetric_inputs(p: PhaseTypeParams) -> SymmetricMoments:
-    """Symmetric moments (L_k, S_k) of decay parameters, the solver input."""
-    return direct.moments(p)
 
 
 def _moment_denominators(target: np.ndarray) -> np.ndarray:
@@ -344,9 +340,10 @@ def invert_generic(model: models.ModelId, m: SymmetricMoments,
 
     Raises GenericBranchMiss when an inequation of the generic branch
     fails, that is when the quantity lies within the float64 rounding
-    error of zero, 64 eps times the sum of its absolute terms (callers
-    should then fall back to invert_thomas), and NegativeDiscriminant
-    when the quadratic branch turns complex.  The M3 family exists only
+    error of zero, 64 eps times the sum of its absolute terms
+    (:func:`candidates` then falls back to the Thomas search), and
+    NegativeDiscriminant when the quadratic branch turns complex.  Both
+    are :class:`NoSolution` errors.  The M3 family exists only
     on the solvability hypersurface G = 0, tested as |G| <=
     ``hypersurface_tol`` times the sum of the absolute values of G's
     terms; a looser value admits inputs estimated from finite data.  Its
@@ -410,6 +407,25 @@ def thomas_candidates(model: models.ModelId,
     return [(model, bs.rate_vector(),
              f"S{bs.system_index}/" + "".join(map(str, bs.branch)),
              tuple(sorted(bs.free_values.items()))) for bs in branch_sols]
+
+
+def candidates(model: models.ModelId, m: SymmetricMoments,
+               k3_grid=simple_systems.FREE_GRID) -> list[tuple]:
+    """The unpolished solutions of one catalog model: the generic branch's
+    (the M3 family over ``k3_grid``), or the Thomas search's where the
+    generic branch has no solution.
+
+    When neither has one, raises the Thomas search's NoSolution with the
+    message "<generic error>; <Thomas error>".
+    """
+    try:
+        return generic_candidates(model, m, k3_grid)
+    except NoSolution as generic_miss:
+        try:
+            return thomas_candidates(model, m)
+        except NoSolution as exc:
+            exc.args = (f"{generic_miss}; {exc}",)
+            raise
 
 
 def _lanczos_tridiagonal(lam: np.ndarray,
@@ -495,4 +511,4 @@ def invert_unbranched(N: int, p: PhaseTypeParams) -> InverseSolution:
     model = models.unbranched_chain(N)
     rates = np.concatenate([k_plus, k_minus, [k_exit]])
     return InverseSolution(model, rates, "chain", roundtrip_residual(
-        model, rates, symmetric_inputs(p)))
+        model, rates, direct.moments(p)))

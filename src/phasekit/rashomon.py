@@ -16,9 +16,8 @@ import numpy as np
 
 from . import direct, inverse, models
 from .direct import PhaseTypeParams, SymmetricMoments
-from .errors import (DomainViolation, GenericBranchMiss, M3HypersurfaceMiss,
-                     NegativeDiscriminant, NoBranchMatches,
-                     SingularSteadyState, WrongArity, ZeroPivot)
+from .errors import (DomainViolation, NoSolution, SingularSteadyState,
+                     WrongArity)
 
 
 @dataclass(frozen=True)
@@ -127,16 +126,13 @@ class VariantReport:
         return sum(1 for i in self.instances if i.valid)
 
 
-_FALLBACK_ERRORS = (GenericBranchMiss, NegativeDiscriminant,
-                    M3HypersurfaceMiss, ZeroPivot)
-
-
 def enumerate_variants(p: PhaseTypeParams) -> VariantReport:
     """Invert the input under every model of ``models.SOLVABLE_N3`` and
     attach markers.
 
-    The candidate solutions of all models (generic closed forms, or the
-    Thomas search where those fail) are polished together in one batch.
+    The candidate solutions of all models (:func:`inverse.candidates`:
+    generic closed forms, or the Thomas search where those fail) are
+    polished together in one batch.
 
     An instance is valid exactly when its rates are real and all
     positive beyond the rounding band of :func:`inverse.clearly_positive`
@@ -148,17 +144,14 @@ def enumerate_variants(p: PhaseTypeParams) -> VariantReport:
     models that neither the generic closed forms nor the Thomas search
     could invert.
     """
-    m = inverse.symmetric_inputs(p)
+    m = direct.moments(p)
     candidates = []
     diagnostics: dict[str, str] = {}
     for model in models.SOLVABLE_N3:
         try:
-            candidates += inverse.generic_candidates(model, m)
-        except _FALLBACK_ERRORS as exc:
-            try:
-                candidates += inverse.thomas_candidates(model, m)
-            except (NoBranchMatches, *_FALLBACK_ERRORS) as exc2:
-                diagnostics[str(model)] = f"{exc}; {exc2}"
+            candidates += inverse.candidates(model, m)
+        except NoSolution as exc:
+            diagnostics[str(model)] = str(exc)
     instances = []
     for sol in inverse.make_solutions(m, candidates):
         ok = sol.all_positive
@@ -205,6 +198,10 @@ class ExperimentConfig:
 
     n_samples: int = 100_000
     seed: int = 7
+
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
 
 
 @dataclass

@@ -92,6 +92,10 @@ class FitConfig:
     restarts: int = 20
     seed: int = 0
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
+
 
 @dataclass(frozen=True)
 class FitResult:

@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from phasekit import cli, direct, models
+from phasekit import cli, direct, inverse, models
 from phasekit.cli import main
 
 
@@ -76,12 +76,43 @@ class TestDirectInvert:
         assert len(doc["solutions"]) == 1
         assert doc["solutions"][0]["residual"] < 1e-9
 
-    def test_thomas_flag(self, tmp_path):
+    def test_invert_takes_no_solver_flag(self, tmp_path):
+        # The Thomas search's two solutions of a generic input are the
+        # generic branch's, which plain invert returns.
         out = tmp_path / "sols.json"
         assert run(["invert", "--model", "M9",
-                    "--moments=-15,27,-10,-5,60", "--thomas",
-                    "--out", out]) == 0
-        assert len(load(out)["solutions"]) == 2
+                    "--moments=-15,27,-10,-5,60", "--out", out]) == 0
+        sols = load(out)["solutions"]
+        assert [s["branch"] for s in sols] == ["generic/root0",
+                                               "generic/root1"]
+        m = direct.SymmetricMoments(L=(-15.0, 27.0, -10.0), S=(-5.0, 60.0))
+        thomas = inverse.invert_thomas(models.M9, m)
+        np.testing.assert_allclose(
+            sorted(s["rates"] for s in sols),
+            sorted(s.rates.tolist() for s in thomas), rtol=1e-12)
+        with pytest.raises(SystemExit) as exc:
+            run(["invert", "--model", "M9", "--moments=-15,27,-10,-5,60",
+                 "--thomas"])
+        assert exc.value.code == 2
+
+    def test_invert_falls_back_to_thomas(self, tmp_path):
+        # Lumpable M9 (k1 = k2): the generic discriminant is zero, and
+        # the Thomas family S4 fixes k1, k2, k3 + k4 and k5.
+        k = np.array([0.23748954533683428, 0.23748954533683428,
+                      11.467584218175574, 75.86419643542978,
+                      0.019443050680591042])
+        m = direct.moments(direct.phase_type_params(
+            models.build_generator(models.M9, k)))
+        out = tmp_path / "sols.json"
+        assert run(["invert", "--model", "M9", "--moments=" + ",".join(
+            repr(float(x)) for x in (*m.L, *m.S)), "--out", out]) == 0
+        sols = load(out)["solutions"]
+        assert [s["branch"] for s in sols] == ["S4/0000"] * 3
+        for s in sols:
+            k1, k2, k3, k4, k5 = s["rates"]
+            np.testing.assert_allclose([k1, k2, k3 + k4, k5],
+                                       [k[0], k[1], k[2] + k[3], k[4]],
+                                       rtol=1e-6)
 
     def test_survival_csv(self, tmp_path):
         csv = tmp_path / "surv.csv"
@@ -98,6 +129,27 @@ class TestDirectInvert:
 class TestExitCodes:
     def test_no_solution_is_exit_3(self):
         assert run(["invert", "--model", "M9", "--moments", "1,1,1,1,1"]) == 3
+
+    def test_no_real_thomas_solution_is_exit_3(self, capsys):
+        # The generic branch misses and the Thomas search finds nothing.
+        assert run(["invert", "--model", "M9", "--moments", "1,1,1,1,1"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            "NoBranchMatches")
+
+    @pytest.mark.parametrize("args", [
+        ["experiment", "--samples", 0],
+        ["experiment", "--samples", -3],
+        ["pipeline", "--model", "M9", "--rates", "1,2,3,4,5", "--n", 1000,
+         "--restarts", 0],
+        ["fit", "--trace", "TRACE", "--components", 2, "--restarts", -1],
+    ])
+    def test_count_below_one_is_exit_2(self, args, tmp_path, capsys):
+        trace = tmp_path / "gaps.csv"
+        trace.write_text("gap\n1.0\n2.0\n3.0\n")
+        assert run([trace if a == "TRACE" else a for a in args]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "at least 1" in err["message"]
 
     def test_bad_input_is_exit_2(self):
         assert run(["invert", "--model", "M9", "--moments", "1,2"]) == 2

@@ -6,8 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from phasekit import direct, inverse, models
 from phasekit.errors import (
+    GenericBranchMiss,
     M3HypersurfaceMiss,
     NegativeDiscriminant,
+    NoBranchMatches,
+    NoSolution,
+    ZeroPivot,
 )
 
 
@@ -149,10 +153,39 @@ class TestThomasSearch:
              0.002546975033826566, 0.010389276623150333,
              0.00026066978087333013]
         gen = models.build_generator(models.M9, np.array(k))
-        m = inverse.symmetric_inputs(direct.phase_type_params(gen))
+        m = direct.moments(direct.phase_type_params(gen))
         sols = inverse.invert_thomas(models.M8, m)
         assert sols
         assert all(s.residual <= 1e-9 for s in sols)
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("error", [
+        GenericBranchMiss, NegativeDiscriminant, M3HypersurfaceMiss,
+        NoBranchMatches, ZeroPivot])
+    def test_no_solution_errors_share_a_base(self, error):
+        assert issubclass(error, NoSolution)
+
+    def test_generic_input_takes_generic_branch(self):
+        assert [c[2] for c in inverse.candidates(models.M9, M9_MOMENTS)] == [
+            "generic/root0", "generic/root1"]
+
+    def test_m3_family_takes_the_grid(self):
+        _, m = forward_moments("M3", [1.0, 2.0, 3.0, 4.0, 5.0])
+        got = inverse.candidates(models.M3, m, k3_grid=(0.5, 2.0))
+        assert [c[3] for c in got] == [(("k3", 0.5),), (("k3", 2.0),)]
+
+    def test_both_misses_raise_the_thomas_error(self):
+        # The M9 generic formulas of slow generic M9 moments hold, but M3's
+        # hypersurface misses and so does every M3 simple system.
+        _, m = forward_moments("M9", [1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
+        with pytest.raises(M3HypersurfaceMiss) as generic:
+            inverse.generic_candidates(models.M3, m)
+        with pytest.raises(NoBranchMatches) as both:
+            inverse.candidates(models.M3, m)
+        assert str(both.value) == (
+            f"{generic.value}; no simple system of M3 accepts the input")
+        assert both.value.diagnostics["model"] == "M3"
 
 
 class TestUnbranchedChain:

@@ -180,6 +180,19 @@ class TestEnumerateVariants:
         assert {str(i.solution.model) for i in small} >= {"M2", "M4"}
         assert not any(i.valid or i.solution.all_positive for i in small)
 
+    def test_diagnostics_name_both_searches(self):
+        # An M8 input with k1 = k2: the M9 generic discriminant is zero
+        # to rounding, and no simple system of M9 accepts the input.
+        report = rashomon.enumerate_variants(params_for("M8", [
+            5.67266219538856, 5.67266219538856, 0.03470451824669471,
+            7.690478472027461, 1.2630405385729204]))
+        generic, thomas = report.diagnostics["M9"].split("; ")
+        assert generic.startswith("generic branch requires")
+        assert thomas == "no simple system of M9 accepts the input"
+        valid = {(str(i.solution.model), i.solution.branch)
+                 for i in report.instances if i.valid}
+        assert {("M4", "S4/00000"), ("M8", "S3/00000")} <= valid
+
     def test_original_rates_in_variant_set(self):
         report = rashomon.enumerate_variants(params_for("M9", M9_RATES))
         dists = [
@@ -231,6 +244,11 @@ class TestExperiment:
                     accepted = False
                 assert accepted == all(ok_i[0] for _, ok_i in scalar)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_needs_a_sample(self, n):
+        with pytest.raises(ValueError, match="at least 1"):
+            rashomon.ExperimentConfig(n_samples=n)
+
     def test_retained_fraction_range(self):
         cfg = rashomon.ExperimentConfig(n_samples=2000, seed=7)
         report = rashomon.discrimination_experiment(cfg)
@@ -265,7 +283,7 @@ class TestBatchedPolish:
     ])
     def test_residual_is_roundtrip_residual(self, tag, rates):
         p = params_for(tag, rates)
-        m = inverse.symmetric_inputs(p)
+        m = direct.moments(p)
         for inst in rashomon.enumerate_variants(p).instances:
             sol = inst.solution
             assert sol.residual == inverse.roundtrip_residual(
@@ -273,7 +291,7 @@ class TestBatchedPolish:
 
     def test_unpolished_when_not_clearly_positive(self):
         p = params_for("M9", self.RATES)
-        m = inverse.symmetric_inputs(p)
+        m = direct.moments(p)
         batch = direct.SymmetricMoments(L=m.L[:, None], S=m.S[:, None])
         skipped = 0
         for inst in rashomon.enumerate_variants(p).instances:

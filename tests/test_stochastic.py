@@ -122,6 +122,11 @@ class TestFit:
             trace, 2, stochastic.FitConfig(restarts=6))
         assert f2.log_likelihood >= f1.log_likelihood - 1e-6
 
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_needs_a_restart(self, restarts):
+        with pytest.raises(ValueError, match="at least 1"):
+            stochastic.FitConfig(restarts=restarts)
+
     def test_insufficient_data(self):
         trace = stochastic.EventTrace(gaps=np.linspace(0.1, 1.0, 10), seed=0)
         with pytest.raises(ValueError):
