@@ -8,11 +8,13 @@ and starts one worker process per side, each importing phasekit from its
 own tree with BLAS pinned to one thread.  The traces are the rounds of
 the perfbench ``infer`` workload (``perfbench/workloads.Infer(seed)``,
 only read here): 30 rounds of seed 21 and 20 of seed 22, that is 120
-and 80 traces of 1000 gaps, plus the criterion-9 trace (M9 at rates
-1..5, 1e6 events, seed 42).  Both sides simulate each trace and fit it
-with ``fit_multiexp`` at its default ``FitConfig``; the side that fits
-first alternates from trace to trace, and each worker makes one untimed
-fit before the first.
+and 80 traces of 1000 gaps; then a long-trace set from a second seed-21
+stream, 3 rounds at each of 8193, 20 000 and 50 000 gaps (36 traces,
+all over ``stochastic._SUBSAMPLE``, so the fit's subsample path runs);
+then the criterion-9 trace (M9 at rates 1..5, 1e6 events, seed 42).
+Both sides simulate each trace and fit it with ``fit_multiexp`` at its
+default ``FitConfig``; the side that fits first alternates from trace to
+trace, and each worker makes one untimed fit before the first.
 
 Prints one JSON summary.  Log-likelihoods of both fits are recomputed
 here from their parameters on the same gaps.  A change counts as equal
@@ -20,7 +22,8 @@ within 1e-9 relative of the base, as higher or lower beyond that; the
 worst relative drop is the most negative (change - base) / |base|.  A fit
 is admissible when its density is positive at t = 0, in the tail and at
 every gap.  Fit times are per side: mean, median and 70th percentile over
-the 1000-gap traces, and the criterion-9 fit on its own.
+the 1000-gap traces and over the long traces, and the criterion-9 fit on
+its own.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from bench_pairs import export  # noqa: E402
 EQUAL_REL = 1e-9
 #: Rounds of 4 ``infer`` traces drawn from each workload seed.
 SEED_ROUNDS = {21: 30, 22: 20}
+#: Rounds of 4 seed-21 ``infer`` draws at each long-trace length.
+LONG_ROUNDS = {8193: 3, 20_000: 3, 50_000: 3}
 CRITERION_9 = {"model": "M9", "rates": [1.0, 2.0, 3.0, 4.0, 5.0],
                "n": 1_000_000, "seed": 42}
 
@@ -104,6 +109,13 @@ def main(argv=None) -> int:
                               "rates": item.rates.tolist(),
                               "n": workloads.N_EVENTS,
                               "seed": item.extra["sim_seed"]})
+    infer = workloads.Infer(21)
+    for n_gaps, rounds in LONG_ROUNDS.items():
+        for _ in range(rounds):
+            for item in infer.next_round():
+                specs.append({"model": str(item.model),
+                              "rates": item.rates.tolist(), "n": n_gaps,
+                              "seed": item.extra["sim_seed"]})
     specs.append(CRITERION_9)
 
     base_sha = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT,
@@ -114,6 +126,7 @@ def main(argv=None) -> int:
     worst_drop = 0.0
     inadmissible = dict.fromkeys(sides, 0)
     seconds = {side: [] for side in sides}
+    long_seconds = {side: [] for side in sides}
     criterion_9 = None
     with tempfile.TemporaryDirectory() as tmp:
         export(base_sha, Path(tmp) / "base")
@@ -150,8 +163,10 @@ def main(argv=None) -> int:
                                "seconds": got[side]["seconds"]}
                         for side in sides}
                 else:
+                    into = (seconds if spec["n"] == workloads.N_EVENTS
+                            else long_seconds)
                     for side in sides:
-                        seconds[side].append(got[side]["seconds"])
+                        into[side].append(got[side]["seconds"])
                 print(f"trace {i + 1}/{len(specs)} {spec['model']} seed "
                       f"{spec['seed']}: rel LL change {rel:+.3e}",
                       file=sys.stderr)
@@ -173,6 +188,7 @@ def main(argv=None) -> int:
                            "worst_rel_drop": worst_drop},
         "inadmissible": inadmissible,
         "fit_time": {side: times(seconds[side]) for side in sides},
+        "long_fit_time": {side: times(long_seconds[side]) for side in sides},
         "criterion_9": criterion_9,
     }, indent=2))
     return 0

@@ -213,9 +213,6 @@ def _cmd_invert(args, manifest: _Manifest) -> int:
         grid = tuple(_parse_floats(args.k3_grid or ""))
         sols = inverse.make_solutions(m, inverse.candidates(
             model, m, grid or simple_systems.FREE_GRID))
-        if not sols:
-            raise NoBranchMatches(f"no real solution of {model} for "
-                                  "these moments")
         payload_m = {"L": list(m.L), "S": list(m.S)}
     payload = {
         "model": str(model),

@@ -28,7 +28,8 @@ from mpmath import mp
 from . import direct, models, simple_systems
 from .direct import PhaseTypeParams, SymmetricMoments
 from .errors import (GenericBranchMiss, M3HypersurfaceMiss,
-                     NegativeDiscriminant, NoSolution, WrongArity, ZeroPivot)
+                     NegativeDiscriminant, NoBranchMatches, NoSolution,
+                     WrongArity, ZeroPivot)
 
 _EPS = np.finfo(float).eps
 #: Band of the generic-branch inequations, as a fraction of the sum of the
@@ -394,16 +395,23 @@ def invert_thomas(model: models.ModelId,
 
     Handles every stratum, including the degenerate ones the generic
     formulas reject.  Raises NoBranchMatches when no stratum accepts
-    the input within tolerance.
+    the input within tolerance, or when none that does has a real
+    solution.
     """
     return make_solutions(m, thomas_candidates(model, m))
 
 
 def thomas_candidates(model: models.ModelId,
                       m: SymmetricMoments) -> list[tuple]:
-    """The solutions of :func:`invert_thomas`, unpolished."""
+    """The solutions of :func:`invert_thomas`, unpolished.  Raises
+    NoBranchMatches when no system accepts the input, or when the systems
+    that do have no real solution."""
     branch_sols = simple_systems.solve_for_moments(
         simple_systems.load_systems(model.tag), m.as_vector())
+    if not branch_sols:
+        raise NoBranchMatches(
+            f"the simple systems of {model} that accept the input have no "
+            "real solution")
     return [(model, bs.rate_vector(),
              f"S{bs.system_index}/" + "".join(map(str, bs.branch)),
              tuple(sorted(bs.free_values.items()))) for bs in branch_sols]

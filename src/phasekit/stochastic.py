@@ -28,6 +28,12 @@ MAX_ITER = 500
 #: A run of the fit stops once its Newton decrement, sqrt(g^T H^-1 g),
 #: is at most this share of |f|.
 FIT_TOL = 1e-8
+#: A run of the full-trace batch leaves it unconverged once its objective
+#: exceeds the best converged, admissible run's by more than this many
+#: times its squared Newton decrement, the local estimate of how far it
+#: can still descend.  On the 200 1000-gap traces of
+#: ``scripts/fit_parity.py``, 1 lowered 2 fits and 10 and 100 none.
+_PRUNE = 10.0
 #: Gaps per block of the likelihood sums, so that one evaluation holds a
 #: bounded table at any trace length.
 _GAP_BLOCK = 2**13
@@ -354,7 +360,7 @@ def _same_optimum(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return np.abs(ra[:, None] - rb[None, :]).max(axis=2) <= _NEAR
 
 
-def _newton_batch(theta, t, n, lo, hi):
+def _newton_batch(theta, t, n, lo, hi, prune=True):
     """Minimize ``_negloglik`` from every row of ``theta`` at once.
 
     Every active row takes one ``_newton_step`` per iteration; each round
@@ -370,14 +376,21 @@ def _newton_batch(theta, t, n, lo, hi):
     A row leaves the batch when its decrement falls to (``FIT_TOL``
     |f|)^2, after trying that last step; when no step down to
     ``_MIN_STEP`` lowers its objective; or when it is at the optimum of a
-    row with a lower objective (``_same_optimum``).  Returns
-    the final rows, their objectives and whether each stopped on the
-    decrement.
+    row with a lower objective (``_same_optimum``).  With ``prune``, a
+    row also leaves, without a step, when its objective exceeds that of
+    the best row that stopped on the decrement and is ``_admissible`` on
+    ``t`` by more than ``_PRUNE`` times its squared decrement: it cannot
+    descend that far, so it cannot win.  Such rows are mostly ridge runs,
+    whose tiny steps would otherwise fill the batch's tail.  A row whose
+    decrement stops it in the same step still counts as converged.
+    Returns the final rows, their objectives and whether each stopped on
+    the decrement.
     """
     theta = np.array(theta, dtype=float)
     fval, grad, hess = _negloglik(theta, t, n)
     active = np.isfinite(fval)
     converged = np.zeros(fval.size, dtype=bool)
+    best = np.inf  # the objective of the best converged, admissible row
     for _ in range(MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
@@ -385,11 +398,12 @@ def _newton_batch(theta, t, n, lo, hi):
         th, f0, g0 = theta[idx], fval[idx], grad[idx]
         step, decrement = _newton_step(th, g0, hess[idx], lo, hi)
         final = decrement <= np.square(FIT_TOL * f0)
+        behind = ~final & (f0 - best > _PRUNE * decrement)
         alpha = np.ones(idx.size)
         corrected = np.zeros(idx.size, dtype=bool)
         moved = np.zeros(idx.size, dtype=bool)
         trial = th.copy()
-        pending = np.isfinite(decrement)
+        pending = np.isfinite(decrement) & ~behind
         while pending.any():
             plain = pending & ~corrected
             trial[plain] = np.clip(
@@ -421,6 +435,14 @@ def _newton_batch(theta, t, n, lo, hi):
             pending[p] = fix | (halve & (alpha[p] >= _MIN_STEP))
         converged[idx[final]] = True
         active[idx[final | ~moved]] = False
+        if prune:
+            done = idx[final]
+            for i in done[np.argsort(fval[done], kind="stable")]:
+                if fval[i] >= best:
+                    break
+                if _admissible(theta[i], n, t):
+                    best = fval[i]
+                    break
         # Merge: a row at the rates of a row with a lower objective leaves.
         idx = np.flatnonzero(active)
         if idx.size > 1:
@@ -473,9 +495,13 @@ def fit_multiexp(
     all ``config.restarts`` starts together by ``_newton_batch``.  A
     trace longer than ``_SUBSAMPLE`` gaps runs the restarts on a strided
     subsample, then refines its distinct admissible optima on the full
-    trace.  Of the final runs, the best by objective whose density is
-    admissible is returned: positive at t = 0, in the tail and at every
-    gap.  Raises InvalidDensity when no run is admissible.
+    trace.  The full-trace batch drops runs that can no longer reach its
+    best converged, admissible run (``_PRUNE``); the subsample batch
+    does not, since a gap between objectives on the subsample does not
+    bound the gap on the full trace.  Of the final runs, the best by
+    objective whose density is admissible is returned: positive at t = 0,
+    in the tail and at every gap.  Raises InvalidDensity when no run is
+    admissible.
     """
     n = n_components
     if n < 1:
@@ -492,7 +518,8 @@ def fit_multiexp(
     if t.size > _SUBSAMPLE:
         # Gaps are exchangeable, so every stride-th one is a fair sample.
         sub = t[:: -(-t.size // _SUBSAMPLE)]
-        theta, fval, converged = _newton_batch(starts, sub, n, lo, hi)
+        theta, fval, converged = _newton_batch(starts, sub, n, lo, hi,
+                                               prune=False)
         # The best admissible run, and every other admissible optimum with
         # rates of its own; a run that left the batch unconverged was
         # merged into a lower one or stalled.

@@ -187,6 +187,14 @@ class TestCandidates:
             f"{generic.value}; no simple system of M3 accepts the input")
         assert both.value.diagnostics["model"] == "M3"
 
+    @pytest.mark.parametrize("model", [models.M4, models.M8, models.M9])
+    def test_no_real_thomas_solution_raises(self, model):
+        # A simple system of each model accepts these moments, but every
+        # branch it gives is complex, so the model must still be reported.
+        m = direct.SymmetricMoments(L=(1.0, 1.0, 1.0), S=(1.0, 1.0))
+        with pytest.raises(NoBranchMatches, match="no real solution"):
+            inverse.candidates(model, m)
+
 
 class TestUnbranchedChain:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])

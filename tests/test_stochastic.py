@@ -261,6 +261,46 @@ def test_fit_is_reproducible(n_events):
     assert first.log_likelihood == second.log_likelihood
 
 
+@pytest.mark.parametrize("tag,n_events,seed,want", [
+    # With a margin _PRUNE of 1 these two drop by 2.8e-4 and 8.6e-4.
+    ("M8", 1000, 1893093023, -1225.69796095239),
+    ("M8", 1000, 1297861076, -1090.357982863726),
+    # Over _SUBSAMPLE gaps: pruning the subsample batch as well drops
+    # this one by 1.2e-3.
+    ("M2", 12_000, 2032373415, -5209.076375274339),
+])
+def test_pruning_keeps_the_best_fit(tag, n_events, seed, want):
+    # Log-likelihoods of these fits before runs were pruned.
+    gen = models.build_generator(models.model_from_string(tag),
+                                 np.arange(1.0, 6.0))
+    trace = stochastic.simulate_events(gen, n_events, seed)
+    fit = stochastic.fit_multiexp(trace, 3)
+    assert fit.log_likelihood == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_a_run_that_cannot_win_leaves_unconverged():
+    gen = models.build_generator(models.M8, np.arange(1.0, 6.0))
+    t = stochastic.simulate_events(gen, 1000, 1297861076).gaps
+    n = 3
+    lo = np.array([np.log(0.01 / t.max())] * n + [-10.0] * (n - 1))
+    hi = np.array([np.log(100.0 / t.min())] * n + [10.0] * (n - 1))
+    starts = np.clip(stochastic._initial_points(
+        t, n, stochastic.FitConfig()), lo, hi)
+    theta, fval, converged = stochastic._newton_batch(
+        starts, t, n, lo, hi, prune=False)
+    done = np.flatnonzero(converged)
+    win, lose = done[np.argmin(fval[done])], done[np.argmax(fval[done])]
+    assert fval[lose] - fval[win] > 1.0
+    # The winner at its optimum, and a loser moved off its own.
+    batch = np.array([theta[win], theta[lose] + 0.01])
+    kept = stochastic._newton_batch(batch, t, n, lo, hi, prune=False)
+    pruned = stochastic._newton_batch(batch, t, n, lo, hi)
+    assert kept[2].tolist() == [True, True]
+    assert pruned[2].tolist() == [True, False]
+    np.testing.assert_array_equal(pruned[0][0], kept[0][0])
+    assert pruned[1][0] == kept[1][0] < pruned[1][1]
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         gen = m9_generator()
