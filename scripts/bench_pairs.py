@@ -13,19 +13,28 @@ first alternates from pair to pair, so drift in the machine's load does
 not favour one side.  Each workload gets 3 pairs unless ``--pairs W=K``
 says otherwise.
 
+Before the pairs, it runs ``tests/test_acceptance.py -s`` once in each
+tree.  A failing criterion is recorded, not fatal; only a pytest error
+other than failed tests stops the script.
+
 Writes ``BENCH_<N>.json`` at the root of this checkout.  For every
 end-to-end metric it holds, per side, the runs, their median and
 quartiles, and the number of pairs in which the change beat the base in
 the metric's own direction; per workload it holds whether every run was
-correct and each run's attempted and failed counts.  Archiving leaves the
-repository itself untouched, which a worktree would not.
+correct and each run's attempted and failed counts.  Under ``accuracy``
+it holds, per side and criterion, the status (PASS, FAIL, or ERROR when
+the test printed no ``CRITERION n:`` line), the line's detail and the
+test's seconds.  Archiving leaves the repository itself untouched, which
+a worktree would not.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -60,6 +69,29 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def accuracy(tree: Path) -> dict:
+    """Status, detail and seconds of each acceptance criterion in ``tree``."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-s",
+         "-q", "--tb=no", "-rN", "-p", "no:cacheprovider",
+         "--durations=0", "--durations-min=0"],
+        cwd=tree, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    if proc.returncode not in (0, 1):  # 1: some criterion failed
+        raise RuntimeError(f"acceptance tests in {tree} exited "
+                           f"{proc.returncode}:\n{proc.stdout}{proc.stderr}")
+    seconds = {}
+    for t, num in re.findall(r"^([\d.]+)s \w+ +tests/test_acceptance\.py::"
+                             r"test_criterion_(\d+)_", proc.stdout, re.M):
+        seconds[num] = seconds.get(num, 0.0) + float(t)
+    out = {num: {"status": "ERROR", "detail": None, "seconds": round(t, 3)}
+           for num, t in sorted(seconds.items(), key=lambda kv: int(kv[0]))}
+    for num, status, detail in re.findall(
+            r"CRITERION (\d+): (PASS|FAIL) - (.*)$", proc.stdout, re.M):
+        out[num].update(status=status, detail=detail)
+    return out
 
 
 def summary(values: list[float]) -> dict:
@@ -101,11 +133,15 @@ def main(argv=None) -> int:
                     "numpy": np.__version__,
                     "platform": platform.platform(),
                     "processor": platform.processor()},
+        "accuracy": {},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
         export(base_sha, base)
+        for side, tree in (("base", base), ("change", ROOT)):
+            print(f"acceptance tests: {side}", file=sys.stderr)
+            record["accuracy"][side] = accuracy(tree)
         for workload in workloads:
             runs = {"base": [], "change": []}
             for i in range(pairs[workload]):

@@ -7,8 +7,8 @@ Three solver paths are provided:
   quadratic branches for M4/M8/M9, a one-parameter family for M3).
 * ``invert_thomas``: full branch search over the encoded triangular
   decompositions, covering every degenerate stratum.
-* ``invert_unbranched``: numeric recursion for reversible chains
-  1 <-> 2 <-> ... <-> N -> N+1 of any length.
+* ``invert_unbranched``: reversible chains 1 <-> 2 <-> ... <-> N -> N+1 of
+  any length, by the Stieltjes three-term recurrence, O(N^2) in 60 digits.
 
 The first two also give their candidates unrefined
 (``generic_candidates``, ``thomas_candidates``); ``candidates`` takes the
@@ -436,40 +436,38 @@ def candidates(model: models.ModelId, m: SymmetricMoments,
             raise
 
 
-def _lanczos_tridiagonal(lam: np.ndarray,
-                         weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _stieltjes_tridiagonal(lam: np.ndarray,
+                           weights: np.ndarray) -> tuple[list, list]:
     """Jacobi matrix with spectrum ``lam`` and first-coordinate spectral
-    weights ``weights``.
+    weights ``weights``, as (diagonal, squared off-diagonal) mpmath lists.
 
-    Lanczos on diag(lam) started from sqrt(weights), with full
-    reorthogonalization.  Weights smaller than the square of machine
-    epsilon still carry rate information, so the iteration works with
-    mpmath numbers and must run inside an ``mp.workdps`` block.
-    Returns (diagonal, off-diagonal) as mpmath lists.
+    The Stieltjes procedure: the monic orthogonal polynomials p_m of the
+    discrete measure sum_i w_i delta(x - lam_i), held by their values at
+    the nodes, follow p_{m+1} = (x - alpha_m) p_m - beta2_{m-1} p_{m-1}
+    with alpha_m = <x p_m, p_m> / <p_m, p_m> and
+    beta2_m = <p_{m+1}, p_{m+1}> / <p_m, p_m>: O(N^2), no square roots.
+    Runs at the caller's ``mp.workdps`` precision.
     """
     n = lam.size
-    lam_mp = [mp.mpf(float(x)) for x in lam]
-    q = [mp.sqrt(mp.mpf(float(x))) for x in weights]
-    norm = mp.sqrt(mp.fsum(x * x for x in q))
-    basis = [[x / norm for x in q]]
-    alpha = [mp.mpf(0)] * n
-    beta = [mp.mpf(0)] * (n - 1)
+    x = [mp.mpf(float(v)) for v in lam]
+    w = [mp.mpf(float(v)) for v in weights]
+    floor = (mp.mpf(10) ** -50 * max(abs(v) for v in x)) ** 2
+    p_prev, p = [mp.mpf(0)] * n, [mp.mpf(1)] * n
+    norm, alpha, beta2 = mp.fsum(w), [], []
     for m in range(n):
-        v = [lam_mp[j] * basis[m][j] for j in range(n)]
-        alpha[m] = mp.fsum(basis[m][j] * v[j] for j in range(n))
+        alpha.append(mp.fsum(wi * xi * pi * pi
+                             for wi, xi, pi in zip(w, x, p)) / norm)
         if m == n - 1:
             break
-        # two orthogonalization passes; one leaves rounding residue
-        for _ in range(2):
-            for vec in basis:
-                proj = mp.fsum(vec[j] * v[j] for j in range(n))
-                v = [v[j] - proj * vec[j] for j in range(n)]
-        norm = mp.sqrt(mp.fsum(x * x for x in v))
-        if norm <= mp.mpf(10) ** -50 * max(abs(x) for x in lam_mp):
-            raise ZeroPivot(f"spectral data degenerates at Lanczos step {m}")
-        beta[m] = norm
-        basis.append([x / norm for x in v])
-    return alpha, beta
+        b2 = beta2[-1] if beta2 else 0
+        p_prev, p = p, [(xi - alpha[m]) * pi - b2 * qi
+                        for xi, pi, qi in zip(x, p, p_prev)]
+        next_norm = mp.fsum(wi * pi * pi for wi, pi in zip(w, p))
+        beta2.append(next_norm / norm)
+        if beta2[m] <= floor:
+            raise ZeroPivot(f"spectral data degenerates at Stieltjes step {m}")
+        norm = next_norm
+    return alpha, beta2
 
 
 def invert_unbranched(N: int, p: PhaseTypeParams) -> InverseSolution:
@@ -480,8 +478,10 @@ def invert_unbranched(N: int, p: PhaseTypeParams) -> InverseSolution:
     w_i = -A_i lambda_i / k_N are the squared last eigenvector
     components of that matrix.  Reconstructing the tridiagonal from
     (lambda, w) is the classical Jacobi inverse eigenvalue problem,
-    solved here by reorthogonalized Lanczos; the rates then unwind from
-    the tridiagonal entries one position at a time.
+    solved here by the Stieltjes three-term recurrence in O(N^2); the
+    rates then unwind from the tridiagonal entries one position at a
+    time.  Both run in 60 digits: the weights of long chains fall below
+    eps^2 yet carry rate information, and the peel's -diag - carry cancels.
     """
     lam, A = p.lam, p.A  # float arrays, as PhaseTypeParams keeps them
     if lam.size != N:
@@ -496,14 +496,14 @@ def invert_unbranched(N: int, p: PhaseTypeParams) -> InverseSolution:
         raise ZeroPivot("nonpositive spectral weight in the chain data")
 
     with mp.workdps(60):
-        alpha, beta = _lanczos_tridiagonal(lam, weights)
-        # Lanczos anchors the weights at coordinate 1; the chain carries
-        # the exit at state N, so flip the tridiagonal end for end.
+        alpha, beta2 = _stieltjes_tridiagonal(lam, weights)
+        # The recurrence anchors the weights at coordinate 1; the chain
+        # carries the exit at state N, so flip the tridiagonal end for end.
         diag = alpha[::-1]
-        off = beta[::-1]
+        off2 = beta2[::-1]
 
         # diag[n] = -(k^+_{n+1} + k^-_n) for n < N-1 (k^-_0 = 0),
-        # off[n]^2 = k^+_{n+1} k^-_{n+1}; peel forward from state 1.
+        # off2[n] = k^+_{n+1} k^-_{n+1}; peel forward from state 1.
         k_plus = np.zeros(N - 1)
         k_minus = np.zeros(N - 1)
         carry = mp.mpf(0)
@@ -511,7 +511,7 @@ def invert_unbranched(N: int, p: PhaseTypeParams) -> InverseSolution:
             kp = -diag[n] - carry
             if kp <= mp.mpf(1e-14) * scale:
                 raise ZeroPivot(f"vanishing forward rate at position {n + 1}")
-            km = off[n] ** 2 / kp
+            km = off2[n] / kp
             k_plus[n] = float(kp)
             k_minus[n] = float(km)
             carry = km

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 from phasekit import direct, inverse, models
 from phasekit.errors import (
@@ -225,6 +226,42 @@ class TestUnbranchedChain:
         p = direct.phase_type_params(gen)
         sol = inverse.invert_unbranched(2, p)
         np.testing.assert_allclose(sol.rates, rates, rtol=1e-6)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_recurrence_reproduces_the_moments(self, n):
+        # (J^k)_11 = sum_i w_i lam_i^k / sum_i w_i for k < 2N defines the
+        # Jacobi matrix J of the weights; it depends only on the diagonal
+        # and the squared off-diagonal, so the recurrence's output is
+        # checked without a reference solver.
+        rng = np.random.default_rng(40 + n)
+        lam = -np.sort(10.0 ** rng.uniform(-4.0, 4.0, size=n))
+        weights = 10.0 ** rng.uniform(-40.0, 0.0, size=n)
+        weights[::2] = 10.0 ** rng.uniform(-40.0, -35.0, size=(n + 1) // 2)
+        with mp.workdps(60):
+            alpha, beta2 = inverse._stieltjes_tridiagonal(lam, weights)
+            x = [mp.mpf(float(v)) for v in lam]
+            w = [mp.mpf(float(v)) for v in weights]
+            v = [mp.mpf(1)] + [mp.mpf(0)] * (n - 1)  # T^k e_1
+            for k in range(2 * n):
+                want = mp.fsum(wi * xi ** k
+                               for wi, xi in zip(w, x)) / mp.fsum(w)
+                assert abs(v[0] - want) <= mp.mpf(10) ** -45 * abs(want)
+                # T: diagonal alpha, superdiagonal beta2, subdiagonal 1,
+                # so (T^k)_11 = (J^k)_11.
+                v = [alpha[i] * v[i]
+                     + (beta2[i] * v[i + 1] if i + 1 < n else 0)
+                     + (v[i - 1] if i else 0) for i in range(n)]
+
+    @pytest.mark.parametrize("lam,A,match", [
+        ([-1.0, -1.0, -3.0], [0.3, 0.3, 0.4], "at Stieltjes step 1"),
+        ([-1.0, -2.0], [1.2, -0.2], "nonpositive spectral weight"),
+        ([-1.0, -2.0], [2.0, -1.0], "exit rate"),
+    ])
+    def test_typed_failures(self, lam, A, match):
+        p = direct.PhaseTypeParams(lam, A)
+        with pytest.raises(ZeroPivot, match=match) as info:
+            inverse.invert_unbranched(len(lam), p)
+        assert isinstance(info.value, NoSolution)
 
 
 class TestPolish:
