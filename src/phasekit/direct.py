@@ -8,11 +8,13 @@ reparameterization (L, S) used as input by the inverse solvers.
 
 from __future__ import annotations
 
+import decimal
 import functools
+import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
-from mpmath import mp
 
 from . import models
 from .errors import DegenerateSpectrum, SingularSteadyState
@@ -22,6 +24,14 @@ from .models import Generator, validate
 #: degenerate, and relative imaginary-part threshold for realness.
 TOL_SEP = 1e-8
 TOL_IM = 1e-10
+#: Arithmetic of :func:`phase_type_params` and of the chain recurrence
+#: of ``inverse.invert_unbranched``: the standard library's correctly
+#: rounded ``decimal``, at 70 significant digits.  An amplitude some 70
+#: decades below the largest needs them: a chain8 with rates up to 8e3 has
+#: A_8 = 4.06e-70, which comes out as 5.2e-65 at 60 digits, -4.2e-69 at
+#: 64 and to 2.2e-5 relative at 70.  In libmpdec 70 digits cost about as
+#: much as 60.
+_EXTENDED = decimal.Context(prec=70)
 
 
 @dataclass(frozen=True)
@@ -98,9 +108,9 @@ def _flow_table(model, k) -> tuple[list[list], tuple]:
     per column of rates that carry a trailing batch axis.  R[i][j] is
     None where no model has the arc (a structural zero) and is 0 in the
     columns of models without it.  Entries keep the number type of ``k``
-    (float, complex, mpmath, or numpy arrays of a batch), so the forward
-    map below runs unchanged in extended precision, under complex-step
-    differentiation and on many inputs at once.
+    (float, complex, ``decimal.Decimal``, or numpy arrays of a batch), so
+    the forward map below runs unchanged in extended precision, under
+    complex-step differentiation and on many inputs at once.
     """
     single = isinstance(model, models.ModelId)
     n, arcs, index = _arc_layout((model,) if single else tuple(model))
@@ -321,19 +331,31 @@ def no_exit_markers(model, k) -> tuple[list, list]:
     return T, [d / total for d in minors]
 
 
+def _horner(coeffs: list, x) -> tuple:
+    """Value and derivative at ``x`` of the polynomial whose
+    coefficients, highest first, are ``coeffs``."""
+    p, dp = 0, 0
+    for c in coeffs:
+        dp = dp * x + p
+        p = p * x + c
+    return p, dp
+
+
 def phase_type_params(gen: Generator) -> PhaseTypeParams:
     """Survival parameters (lambda, A) for a validated generator.
 
     One path for every model, chains and N = 1 included.  A dense
     eigensolve gives start values and the checks that the spectrum is
-    real and separated.  In 60-digit arithmetic each eigenvalue is then
-    refined by Newton on det(x I - Qtilde) from :func:`_charpoly`, whose
-    coefficients are subtraction-free sums of GTH minors of the exact
-    rates, so an eigenvalue far smaller than the rates keeps its
-    relative accuracy.  The amplitudes follow from the closed form
+    real and separated.  In 70 significant digits of ``decimal``
+    arithmetic (``_EXTENDED``) each eigenvalue is then refined by Newton on
+    det(x I - Qtilde) from :func:`_charpoly`, whose coefficients are
+    subtraction-free sums of GTH minors of the exact rates (a float
+    converts to a ``Decimal`` exactly), so an eigenvalue far smaller than
+    the rates keeps its relative accuracy.  The amplitudes follow from
+    the closed form
     A_i = -k_exit D_N(lambda_i) / (lambda_i prod_{j != i}(lambda_i - lambda_j))
     with D_N(x) = det(x I - B) from the same minors, and both are rounded
-    to float64 at the end.
+    to float64, correctly, at the end.
     """
     report = validate(gen)
     if not report.s_equals_N:
@@ -341,27 +363,30 @@ def phase_type_params(gen: Generator) -> PhaseTypeParams:
     spec = spectrum(gen)
     if not spec.is_real_distinct:
         raise DegenerateSpectrum("spectrum is not real; no (lambda, A) form")
-    with mp.workdps(60):
-        R, arcs = _flow_table(gen.model, list(map(mp.mpf, gen.rates.tolist())))
+    with decimal.localcontext(_EXTENDED):
+        R, arcs = _flow_table(gen.model,
+                              list(map(Decimal, gen.rates.tolist())))
         e, d = _charpoly(R, arcs)
         k_exit = R[-1][-1]
         # Newton squares the error: after a step this small, the next one
-        # would fall below 60 digits.
-        small = mp.mpf(10) ** -40
+        # would fall below the working digits.
+        small = Decimal("1e-40")
         lam = []
-        for x in map(mp.mpf, spec.eigenvalues.tolist()):
+        for x in map(Decimal, spec.eigenvalues.tolist()):
             for _ in range(60):
-                p, dp = mp.polyval(e, x, derivative=True)
+                p, dp = _horner(e, x)
                 step = p / dp
                 x -= step
                 if abs(step) <= small * abs(x):
                     break
             lam.append(x)
-        amps = [-k_exit * mp.polyval(d, x)
-                / (x * mp.fprod(x - y for y in lam[:i] + lam[i + 1:]))
+        amps = [-k_exit * _horner(d, x)[0]
+                / (x * math.prod(x - y for y in lam[:i] + lam[i + 1:]))
                 for i, x in enumerate(lam)]
+        # + 0.0: an exact zero amplitude (a lumpable chain) is +0, whatever
+        # the sign decimal gave it.
         return PhaseTypeParams([float(x) for x in lam],
-                               [float(a) for a in amps]).sorted()
+                               [float(a) + 0.0 for a in amps]).sorted()
 
 
 def survival(p: PhaseTypeParams, t):

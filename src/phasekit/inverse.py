@@ -8,7 +8,8 @@ Three solver paths are provided:
 * ``invert_thomas``: full branch search over the encoded triangular
   decompositions, covering every degenerate stratum.
 * ``invert_unbranched``: reversible chains 1 <-> 2 <-> ... <-> N -> N+1 of
-  any length, by the Stieltjes three-term recurrence, O(N^2) in 60 digits.
+  any length, by the Stieltjes three-term recurrence, O(N^2) in 70 digits
+  of the standard library's ``decimal`` arithmetic.
 
 The first two also give their candidates unrefined
 (``generic_candidates``, ``thomas_candidates``); ``candidates`` takes the
@@ -20,10 +21,11 @@ that residual, not the solver algebra, is the acceptance oracle.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
-from mpmath import mp
 
 from . import direct, models, simple_systems
 from .direct import PhaseTypeParams, SymmetricMoments
@@ -40,7 +42,9 @@ _ROUNDING_BAND = 64.0 * _EPS
 #: Float64 Newton results whose estimated relative error exceeds this are
 #: finished in extended precision.
 _FLOAT_POLISH_TOL = 1e-10
-_POLISH_DPS = 40
+#: Arithmetic of the extended-precision finish of the polish: ``decimal``
+#: at 40 significant digits.
+_POLISH = decimal.Context(prec=40)
 
 
 @dataclass(frozen=True)
@@ -176,27 +180,30 @@ def _polish(batch, k: np.ndarray, m: SymmetricMoments,
 
 
 def _polish_extended(model, k, target, denom, inv) -> np.ndarray:
-    """Iterative refinement with the residual in extended precision.
+    """Iterative refinement with the residual in extended precision,
+    40 significant digits of ``decimal`` arithmetic (``_POLISH``).
 
-    The float64 moments are treated as exact.  Each correction is
-    solved with the float64 inverse Jacobian ``inv``, which converges
-    linearly as long as the Jacobian's condition number stays well below
-    1/eps.  Falls back to ``k`` when the corrections stop shrinking
-    before they fall far below float64 resolution.
+    The float64 moments, rates and denominators convert to ``Decimal``
+    exactly and are treated as exact.  Each correction is solved with the
+    float64 inverse Jacobian ``inv``, which converges linearly as long as
+    the Jacobian's condition number stays well below 1/eps.  Falls back
+    to ``k`` when the corrections stop shrinking before they fall far
+    below float64 resolution.
     """
-    with mp.workdps(_POLISH_DPS):
-        want = [mp.mpf(float(x)) for x in target]
-        km = [mp.mpf(float(x)) for x in k]
+    with decimal.localcontext(_POLISH):
+        want = [Decimal(float(x)) for x in target]
+        den = [Decimal(float(x)) for x in denom]
+        km = [Decimal(float(x)) for x in k]
         last = np.inf
         for _ in range(12):
             got = direct.moment_vector(model, km)
             r = np.array([float((g - w) / d)
-                          for g, w, d in zip(got, want, denom)])
+                          for g, w, d in zip(got, want, den)])
             step = -inv @ r
             size = float(np.max(np.abs(step)))
             if not size < last:
                 return k
-            km = [x * (1 + mp.mpf(float(s))) for x, s in zip(km, step)]
+            km = [x * (1 + Decimal(float(s))) for x, s in zip(km, step)]
             if size <= 1e-3 * _EPS:
                 return np.array([float(x) for x in km])
             last = size
@@ -439,34 +446,38 @@ def candidates(model: models.ModelId, m: SymmetricMoments,
 def _stieltjes_tridiagonal(lam: np.ndarray,
                            weights: np.ndarray) -> tuple[list, list]:
     """Jacobi matrix with spectrum ``lam`` and first-coordinate spectral
-    weights ``weights``, as (diagonal, squared off-diagonal) mpmath lists.
+    weights ``weights``, as (diagonal, squared off-diagonal) lists of
+    ``Decimal``.
 
     The Stieltjes procedure: the monic orthogonal polynomials p_m of the
     discrete measure sum_i w_i delta(x - lam_i), held by their values at
     the nodes, follow p_{m+1} = (x - alpha_m) p_m - beta2_{m-1} p_{m-1}
     with alpha_m = <x p_m, p_m> / <p_m, p_m> and
     beta2_m = <p_{m+1}, p_{m+1}> / <p_m, p_m>: O(N^2), no square roots.
-    Runs at the caller's ``mp.workdps`` precision.
+    Runs in 70 significant digits (``direct._EXTENDED``); the float
+    inputs convert to ``Decimal`` exactly.
     """
     n = lam.size
-    x = [mp.mpf(float(v)) for v in lam]
-    w = [mp.mpf(float(v)) for v in weights]
-    floor = (mp.mpf(10) ** -50 * max(abs(v) for v in x)) ** 2
-    p_prev, p = [mp.mpf(0)] * n, [mp.mpf(1)] * n
-    norm, alpha, beta2 = mp.fsum(w), [], []
-    for m in range(n):
-        alpha.append(mp.fsum(wi * xi * pi * pi
+    with decimal.localcontext(direct._EXTENDED):
+        x = [Decimal(v) for v in lam.tolist()]
+        w = [Decimal(v) for v in weights.tolist()]
+        floor = (Decimal("1e-50") * max(abs(v) for v in x)) ** 2
+        p_prev, p = [Decimal(0)] * n, [Decimal(1)] * n
+        norm, alpha, beta2 = sum(w), [], []
+        for m in range(n):
+            alpha.append(sum(wi * xi * pi * pi
                              for wi, xi, pi in zip(w, x, p)) / norm)
-        if m == n - 1:
-            break
-        b2 = beta2[-1] if beta2 else 0
-        p_prev, p = p, [(xi - alpha[m]) * pi - b2 * qi
-                        for xi, pi, qi in zip(x, p, p_prev)]
-        next_norm = mp.fsum(wi * pi * pi for wi, pi in zip(w, p))
-        beta2.append(next_norm / norm)
-        if beta2[m] <= floor:
-            raise ZeroPivot(f"spectral data degenerates at Stieltjes step {m}")
-        norm = next_norm
+            if m == n - 1:
+                break
+            b2 = beta2[-1] if beta2 else 0
+            p_prev, p = p, [(xi - alpha[m]) * pi - b2 * qi
+                            for xi, pi, qi in zip(x, p, p_prev)]
+            next_norm = sum(wi * pi * pi for wi, pi in zip(w, p))
+            beta2.append(next_norm / norm)
+            if beta2[m] <= floor:
+                raise ZeroPivot(
+                    f"spectral data degenerates at Stieltjes step {m}")
+            norm = next_norm
     return alpha, beta2
 
 
@@ -480,8 +491,9 @@ def invert_unbranched(N: int, p: PhaseTypeParams) -> InverseSolution:
     (lambda, w) is the classical Jacobi inverse eigenvalue problem,
     solved here by the Stieltjes three-term recurrence in O(N^2); the
     rates then unwind from the tridiagonal entries one position at a
-    time.  Both run in 60 digits: the weights of long chains fall below
-    eps^2 yet carry rate information, and the peel's -diag - carry cancels.
+    time.  Both run in 70 digits of ``decimal`` arithmetic
+    (``direct._EXTENDED``): the weights of long chains fall below eps^2
+    yet carry rate information, and the peel's -diag - carry cancels.
     """
     lam, A = p.lam, p.A  # float arrays, as PhaseTypeParams keeps them
     if lam.size != N:
@@ -495,8 +507,8 @@ def invert_unbranched(N: int, p: PhaseTypeParams) -> InverseSolution:
     if np.any(weights <= 0.0):
         raise ZeroPivot("nonpositive spectral weight in the chain data")
 
-    with mp.workdps(60):
-        alpha, beta2 = _stieltjes_tridiagonal(lam, weights)
+    alpha, beta2 = _stieltjes_tridiagonal(lam, weights)
+    with decimal.localcontext(direct._EXTENDED):
         # The recurrence anchors the weights at coordinate 1; the chain
         # carries the exit at state N, so flip the tridiagonal end for end.
         diag = alpha[::-1]
@@ -506,10 +518,11 @@ def invert_unbranched(N: int, p: PhaseTypeParams) -> InverseSolution:
         # off2[n] = k^+_{n+1} k^-_{n+1}; peel forward from state 1.
         k_plus = np.zeros(N - 1)
         k_minus = np.zeros(N - 1)
-        carry = mp.mpf(0)
+        carry = Decimal(0)
+        least = Decimal(1e-14) * Decimal(scale)
         for n in range(N - 1):
             kp = -diag[n] - carry
-            if kp <= mp.mpf(1e-14) * scale:
+            if kp <= least:
                 raise ZeroPivot(f"vanishing forward rate at position {n + 1}")
             km = off2[n] / kp
             k_plus[n] = float(kp)

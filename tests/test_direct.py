@@ -14,9 +14,10 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from phasekit import direct, models
+from phasekit import direct, inverse, models
 from phasekit.errors import DegenerateSpectrum
 
+import mp_reference
 from mp_reference import mp_moments, mp_phase_type_params, rel_error_eps
 
 
@@ -195,6 +196,24 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.split() == ["False"] * 4
 
 
+def test_import_leaves_mpmath_unloaded():
+    # Extended precision runs on the standard library's decimal module;
+    # mpmath serves only the tests' independent references.
+    src = os.path.dirname(os.path.dirname(direct.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, phasekit as pk\n"
+         "from phasekit import cli\n"
+         "print('mpmath' in sys.modules)\n"
+         "gen = pk.build_generator(pk.unbranched_chain(4), range(1, 8))\n"
+         "p = pk.phase_type_params(gen)\n"
+         "pk.invert_unbranched(4, p)\n"
+         "print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["False"] * 2
+
+
 class TestForwardAccuracy:
     """Regression inputs where the float64 forward map used to lose
     relative accuracy to cancellation."""
@@ -230,7 +249,7 @@ class TestForwardAccuracy:
         *((models.unbranched_chain(n), 30) for n in range(1, 9)),
     ], ids=str)
     def test_params_match_extended_precision(self, model, draws):
-        # Rates over four decades.  Every model takes the same path: 60-digit
+        # Rates over four decades.  Every model takes the same path: 70-digit
         # Newton on the GTH characteristic polynomial, then the closed-form
         # amplitudes, so each lambda_i and A_i is good to a few eps.
         rng = np.random.default_rng(list(str(model).encode()))  # per model
@@ -243,6 +262,27 @@ class TestForwardAccuracy:
             lam, amps = mp_phase_type_params(model, k)
             assert rel_error_eps(p.lam, lam) <= 8.0, k
             assert rel_error_eps(p.A, amps) <= 8.0, k
+
+    def test_chain_amplitudes_keep_their_sign(self, monkeypatch):
+        # Chain8 draw over +-4 decades whose smallest amplitude, 4.06e-70,
+        # came out as -4.7e-66 from a 60-digit forward map, after which
+        # invert_unbranched rejected the chain's own parameters as a
+        # nonpositive spectral weight.  The reference needs 150 digits to
+        # resolve it beside rates up to 8e3.
+        k = [4.227255942169772, 0.05274945304531849, 0.007934002165281116,
+             0.00034893639988267325, 0.008942442662062573,
+             0.020519348975889536, 0.056630512511512375, 8012.64817916364,
+             5.489896929960661, 0.0034463790215504874, 0.09219363671359658,
+             0.28775787350692794, 0.00046257834600548273,
+             0.5586868736638637, 1.1649685534861618]
+        model = models.unbranched_chain(8)
+        p = direct.phase_type_params(models.build_generator(model, k))
+        monkeypatch.setattr(mp_reference, "DPS", 150)
+        _, amps = mp_phase_type_params(model, k)
+        assert np.all(p.A > 0.0), p.A
+        np.testing.assert_allclose(p.A, amps, rtol=1e-4, atol=0.0)
+        sol = inverse.invert_unbranched(8, p)
+        np.testing.assert_allclose(sol.rates, k, rtol=1e-4, atol=0.0)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_chain_moments_match_extended_precision(self, n):

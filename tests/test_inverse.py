@@ -237,8 +237,11 @@ class TestUnbranchedChain:
         lam = -np.sort(10.0 ** rng.uniform(-4.0, 4.0, size=n))
         weights = 10.0 ** rng.uniform(-40.0, 0.0, size=n)
         weights[::2] = 10.0 ** rng.uniform(-40.0, -35.0, size=(n + 1) // 2)
+        alpha, beta2 = inverse._stieltjes_tridiagonal(lam, weights)
         with mp.workdps(60):
-            alpha, beta2 = inverse._stieltjes_tridiagonal(lam, weights)
+            # mpmath would take a Decimal operand as a float.
+            alpha = [mp.mpf(str(v)) for v in alpha]
+            beta2 = [mp.mpf(str(v)) for v in beta2]
             x = [mp.mpf(float(v)) for v in lam]
             w = [mp.mpf(float(v)) for v in weights]
             v = [mp.mpf(1)] + [mp.mpf(0)] * (n - 1)  # T^k e_1
