@@ -6,7 +6,7 @@ against this checkout, bit for bit.
 
 Exports the commit ``BASE`` with ``git archive`` (``bench_pairs.export``)
 and starts one worker process per side, each importing phasekit from its
-own tree.  Three input sets, all drawn here:
+own tree.  Four input sets, all drawn here:
 
 * ``chains``: 60 rounds of the perfbench ``chains`` workload at each of
   seeds 1-3 (``perfbench/workloads.Chains(seed)``, only read here), one
@@ -15,19 +15,27 @@ own tree.  Three input sets, all drawn here:
   over 1e-4..1e4, seed ``WIDE_SEED``, not redrawn when the spectrum is
   degenerate;
 * ``variants``: 5 rounds of the perfbench ``variants`` workload at each
-  of seeds 1-3.
+  of seeds 1-3;
+* ``experiment``: ``EXPERIMENT_BLOCKS`` blocks of the discrimination
+  experiment's draws (``rashomon._draw_moments``, one block of
+  ``rashomon._BLOCK`` samples per seed), then the report of
+  ``discrimination_experiment`` at ``EXPERIMENT_REPORT``.
 
-Both sides run ``phase_type_params`` on every input, then
-``invert_unbranched`` on a chain and ``enumerate_variants`` on a
-``variants`` input.  An input is ``equal`` when every number of both
-sides' results has the same bits, or both raise the same exception type;
-``error_type_changed`` when only one side raises, or they raise
-different types; ``differ`` otherwise.  Each chain input that is not
-equal is listed with its set, its index in the set, its rates and each
-side's worst relative error against a 150-digit dense reference
-(``tests/mp_reference``, which needs mpmath): of (lambda, A), and of the
-recovered rates against the drawn ones.  ``decimal_errors`` counts the inputs on which a side raised one of
-the ``decimal`` module's own exceptions.  Prints one JSON summary.
+Both sides run ``phase_type_params`` on every chain and ``variants``
+input, then ``invert_unbranched`` on a chain and ``enumerate_variants``
+on a ``variants`` input.  On a block of draws they run
+``inverse.generic_branches`` for every model of ``models.SOLVABLE_N3``
+and answer with a SHA-256 digest of the bytes of each branch's rates and
+mask, so the comparison is bit for bit without sending the arrays.  An
+input is ``equal`` when every number of both sides' results has the
+same bits, or both raise the same exception type; ``error_type_changed``
+when only one side raises, or they raise different types; ``differ``
+otherwise.  Each chain input that is not equal is listed with its set,
+its index in the set, its rates and each side's worst relative error
+against a 150-digit dense reference (``tests/mp_reference``, which needs
+mpmath): of (lambda, A), and of the recovered rates against the drawn
+ones.  ``decimal_errors`` counts the inputs on which a side raised one
+of the ``decimal`` module's own exceptions.  Prints one JSON summary.
 """
 
 from __future__ import annotations
@@ -54,6 +62,9 @@ VARIANT_ROUNDS = {1: 5, 2: 5, 3: 5}
 WIDE_DRAWS = 300
 WIDE_SEED = 11
 WIDE_RATES = (-4.0, 4.0)
+#: Seeds of the blocks of experiment draws, and the experiment report.
+EXPERIMENT_BLOCKS = range(1, 21)
+EXPERIMENT_REPORT = {"seed": 7, "n_samples": 100_000}
 #: Digits of the reference that the chain inputs that differ are scored on.
 REFERENCE_DPS = 150
 
@@ -74,6 +85,8 @@ def plain(obj):
 
 def worker() -> None:
     """Answer the inputs named on stdin, one JSON line in and out each."""
+    import hashlib
+
     from phasekit import direct, inverse, models, rashomon
 
     def attempt(fn, *args) -> tuple:
@@ -83,7 +96,24 @@ def worker() -> None:
             kind = type(exc)
             return None, {"error": f"{kind.__module__}.{kind.__qualname__}"}
 
+    def branches(seed: int) -> dict:
+        m = rashomon._draw_moments(np.random.default_rng(seed),
+                                   rashomon._BLOCK)
+        out = {}
+        for model in models.SOLVABLE_N3:
+            digest = hashlib.sha256()
+            for rates, ok in inverse.generic_branches(model.tag, m)[0]:
+                digest.update(np.array(rates, dtype=float).tobytes())
+                digest.update(np.asarray(ok, dtype=bool).tobytes())
+            out[model.tag] = digest.hexdigest()
+        return out
+
     def answer(spec: dict) -> dict:
+        if "draws" in spec:
+            return {"branches": branches(spec["draws"])}
+        if "report" in spec:
+            cfg = rashomon.ExperimentConfig(**spec["report"])
+            return {"report": plain(rashomon.discrimination_experiment(cfg))}
         model = models.model_from_string(spec["model"])
         gen = models.build_generator(model, np.array(spec["rates"]))
         p, err = attempt(direct.phase_type_params, gen)
@@ -167,7 +197,7 @@ def main(argv=None) -> int:
     import workloads
     from phasekit import models
 
-    inputs = {"chains": [], "wide": [], "variants": []}
+    inputs = {"chains": [], "wide": [], "variants": [], "experiment": []}
     for seed, rounds in CHAIN_ROUNDS.items():
         chains = workloads.Chains(seed)
         for _ in range(rounds):
@@ -183,6 +213,8 @@ def main(argv=None) -> int:
         for _ in range(rounds):
             inputs["variants"] += [(item.model, item.rates)
                                    for item in variants.next_round()]
+    inputs["experiment"] = [{"draws": seed} for seed in EXPERIMENT_BLOCKS]
+    inputs["experiment"].append({"report": EXPERIMENT_REPORT})
 
     base_sha = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT,
                               check=True, capture_output=True,
@@ -199,8 +231,12 @@ def main(argv=None) -> int:
                  "change": start_worker(ROOT)}
         try:
             for name, items in inputs.items():
-                for index, (model, rates) in enumerate(items):
-                    spec = {"model": str(model), "rates": rates.tolist()}
+                for index, item in enumerate(items):
+                    if isinstance(item, dict):
+                        model, spec = None, item
+                    else:
+                        model, rates = item
+                        spec = {"model": str(model), "rates": rates.tolist()}
                     got = {side: ask(procs[side], spec) for side in sides}
                     for side in sides:
                         decimal_errors[side] += sum(
@@ -208,7 +244,7 @@ def main(argv=None) -> int:
                             for e in errors(got[side]))
                     verdict = compare(got["base"], got["change"])
                     summary[name][verdict] += 1
-                    if verdict != "equal" and model.tag == "chain":
+                    if verdict != "equal" and model and model.tag == "chain":
                         listed.append({"set": name, "index": index,
                                        "verdict": verdict, **spec,
                                        **score(model, rates, got)})

@@ -17,7 +17,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import models
-from .errors import DegenerateSpectrum, SingularSteadyState
+from .errors import DegenerateSpectrum, NonErgodic, SingularSteadyState
 from .models import Generator, validate
 
 #: Relative eigenvalue separation below which the spectrum is treated as
@@ -355,7 +355,10 @@ def phase_type_params(gen: Generator) -> PhaseTypeParams:
     the closed form
     A_i = -k_exit D_N(lambda_i) / (lambda_i prod_{j != i}(lambda_i - lambda_j))
     with D_N(x) = det(x I - B) from the same minors, and both are rounded
-    to float64, correctly, at the end.
+    to float64, correctly, at the end.  Raises NonErgodic when the exact
+    e_N = det(-Qtilde) is 0: a zero rate closes a class of states, and 0
+    is an eigenvalue.  A state that is merely unreachable leaves e_N
+    positive and gets a zero amplitude.
     """
     report = validate(gen)
     if not report.s_equals_N:
@@ -367,6 +370,9 @@ def phase_type_params(gen: Generator) -> PhaseTypeParams:
         R, arcs = _flow_table(gen.model,
                               list(map(Decimal, gen.rates.tolist())))
         e, d = _charpoly(R, arcs)
+        if not e[-1]:
+            raise NonErgodic("det(-Qtilde) = 0: the rates close a class of "
+                             "states that never reaches the exit")
         k_exit = R[-1][-1]
         # Newton squares the error: after a step this small, the next one
         # would fall below the working digits.

@@ -10,7 +10,10 @@ class WrongArity(PhasekitError):
 
 
 class NonErgodic(PhasekitError):
-    """Simulation could not reach the observed state within the jump guard."""
+    """The exit is not reached from every state: a simulation could not
+    reach the observed state within the jump guard, or the rates close a
+    class of states, so det(-Qtilde) = 0 and the survival has no
+    (lambda, A) form."""
 
 
 class DegenerateSpectrum(PhasekitError):

@@ -371,7 +371,9 @@ def _newton_batch(theta, t, n, lo, hi, prune=True):
     shortest gap.  A point that fails the Armijo test is first replaced
     by its correction, the Newton step taken from it, which follows a
     curved valley where the straight step leaves it; a correction that
-    fails too, or a point without positive ends, halves the step.
+    fails too halves the step.  A point without positive ends is
+    replaced, in the same round, by the longest halving of its step that
+    has them (``_halve_to_ends``).
 
     A row leaves the batch when its decrement falls to (``FIT_TOL``
     |f|)^2, after trying that last step; when no step down to
@@ -411,10 +413,13 @@ def _newton_batch(theta, t, n, lo, hi, prune=True):
             # A point without positive ends fails unevaluated: halve.
             lost = pending & ~_positive_ends(trial, n)
             if lost.any():
-                alpha[lost] *= 0.5
                 corrected[lost] = False
-                pending[lost] = (alpha[lost] >= _MIN_STEP) & ~final[lost]
-                continue
+                back = np.flatnonzero(lost & ~final)
+                alpha[back], trial[back], pending[back] = _halve_to_ends(
+                    th[back], step[back], alpha[back], lo, hi, n)
+                pending[lost & final] = False
+                if not pending.any():
+                    break
             p = np.flatnonzero(pending)
             ft, gt, ht = _negloglik(trial[p], t, n)
             slope = np.einsum("ij,ij->i", g0[p], trial[p] - th[p])
@@ -452,6 +457,24 @@ def _newton_batch(theta, t, n, lo, hi, prune=True):
                 (fv[None, :] == fv[:, None]) & (idx[None, :] < idx[:, None]))
             active[idx[(near & lower).any(axis=1)]] = False
     return theta, fval, converged
+
+
+def _halve_to_ends(th, step, alpha, lo, hi, n):
+    """The first of ``alpha`` / 2, / 4, ... down to ``_MIN_STEP`` whose
+    point clip(th + alpha step) has positive ends, for every row at once.
+
+    Returns each row's step length and point, and whether it found one.
+    A halving is exact, so each candidate has the bits that halving one
+    line-search round at a time reaches.  ``alpha`` is at most 1, so
+    twelve halvings reach ``_MIN_STEP`` = 2**-12.
+    """
+    scales = np.ldexp(alpha[:, None], -np.arange(1, 13))
+    points = np.clip(th[:, None] + scales[:, :, None] * step[:, None],
+                     lo, hi)
+    ok = (scales >= _MIN_STEP) & _positive_ends(
+        points.reshape(-1, th.shape[1]), n).reshape(scales.shape)
+    first = (np.arange(th.shape[0]), np.argmax(ok, axis=1))
+    return scales[first], points[first], ok.any(axis=1)
 
 
 def _amplitudes(theta: np.ndarray, n: int) -> np.ndarray:

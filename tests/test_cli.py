@@ -151,6 +151,13 @@ class TestExitCodes:
         assert err["error"] == "ValueError"
         assert "at least 1" in err["message"]
 
+    @pytest.mark.parametrize("rates", ["0,2,3", "1,2,0"])
+    def test_closed_class_is_exit_2(self, rates, capsys):
+        assert run(["direct", "--model", "chain2", "--rates", rates]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "NonErgodic"
+
     def test_bad_input_is_exit_2(self):
         assert run(["invert", "--model", "M9", "--moments", "1,2"]) == 2
 

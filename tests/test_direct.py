@@ -15,7 +15,7 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from phasekit import direct, inverse, models
-from phasekit.errors import DegenerateSpectrum
+from phasekit.errors import DegenerateSpectrum, NonErgodic
 
 import mp_reference
 from mp_reference import mp_moments, mp_phase_type_params, rel_error_eps
@@ -86,6 +86,25 @@ class TestPhaseTypeParams:
         ts = np.linspace(0.0, 300.0, 600001)
         mean_num = np.trapezoid(direct.survival(p, ts), ts)
         assert np.isclose(direct.mean_time(p), mean_num, rtol=1e-6)
+
+    @pytest.mark.parametrize("rates", [[0.0, 2.0, 3.0], [1.0, 2.0, 0.0]])
+    def test_closed_class_is_non_ergodic(self, rates):
+        # A zero rate traps the walker in state 1, or keeps it from the
+        # exit: det(-Qtilde) = 0, and 0 is an eigenvalue.
+        gen = models.build_generator(models.unbranched_chain(2),
+                                     np.array(rates))
+        with pytest.raises(NonErgodic, match="det"):
+            direct.phase_type_params(gen)
+
+    def test_unreachable_state_keeps_its_form(self):
+        # k2 = 0: state 1 is never re-entered, but every state reaches
+        # the exit, so det(-Qtilde) = 3 and state 1 loads nothing.
+        gen = models.build_generator(models.unbranched_chain(2),
+                                     np.array([1.0, 0.0, 3.0]))
+        assert not models.validate(gen).strongly_connected
+        p = direct.phase_type_params(gen)
+        np.testing.assert_array_equal(p.lam, [-1.0, -3.0])
+        np.testing.assert_array_equal(p.A, [0.0, 1.0])
 
     @settings(max_examples=40, deadline=None)
     @given(rates=rate_vectors)

@@ -1,5 +1,7 @@
 """Inverse-problem tests: generic branches, full search, chain recursion."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +112,39 @@ class TestGenericBranch:
         model, m = forward_moments("M9", [1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
         with pytest.raises(M3HypersurfaceMiss):
             inverse.invert_generic(models.M3, m)
+
+
+class CountedPowers(np.ndarray):
+    """An array that counts the powers above the square taken of it and
+    of the arrays computed from it."""
+
+    slow = 0
+
+    def __pow__(self, exponent):
+        if np.ndim(exponent) == 0 and exponent >= 3:
+            CountedPowers.slow += 1
+        return super().__pow__(exponent)
+
+
+@pytest.mark.parametrize("tag,most", [("M2", 5), ("M4", 2), ("M8", 2),
+                                      ("M9", 2)])
+def test_generic_branches_take_each_slow_power_once(tag, most, monkeypatch):
+    # x ** 3 and x ** 4 cost about 150 ns per element for a negative base,
+    # so each is evaluated once per call.  M2 needs S1^3, S1^4 and S2^3 and
+    # the cubes of |S1| and |S2| for its bands; the others S1^3 and |S1|^3.
+    _, m = forward_moments(tag, [0.3, 0.7, 2.0, 1.1, 0.9])
+    # SymmetricMoments would strip the subclass: generic_branches reads
+    # only L and S.
+    counted = SimpleNamespace(L=m.L[:, None].view(CountedPowers),
+                              S=m.S[:, None].view(CountedPowers))
+    monkeypatch.setattr(CountedPowers, "slow", 0)
+    branches, _ = inverse.generic_branches(tag, counted)
+    assert CountedPowers.slow <= most
+    plain = direct.SymmetricMoments(L=m.L[:, None], S=m.S[:, None])
+    for (rates, ok), (want, want_ok) in zip(
+            branches, inverse.generic_branches(tag, plain)[0]):
+        np.testing.assert_array_equal(np.ravel(rates), np.ravel(want))
+        np.testing.assert_array_equal(ok, want_ok)
 
 
 class TestThomasSearch:

@@ -301,6 +301,38 @@ def test_a_run_that_cannot_win_leaves_unconverged():
     assert pruned[1][0] == kept[1][0] < pruned[1][1]
 
 
+def test_halvings_to_positive_ends_match_one_at_a_time():
+    # Steps from admissible points that leave f(0) > 0 or the positive
+    # tail, at step lengths 1 .. 2**-11: the one-pass choice against
+    # halving one round at a time, down to _MIN_STEP.
+    rng = np.random.default_rng(4)
+    n = 3
+    theta = np.concatenate([rng.uniform(-1.0, 1.0, (400, n)),
+                            rng.uniform(0.0, 0.6, (400, n - 1))], axis=1)
+    theta = theta[stochastic._positive_ends(theta, n)]
+    step = rng.normal(0.0, 50.0, theta.shape)
+    alpha = np.ldexp(1.0, -rng.integers(0, 12, len(theta)))
+    hi = np.array([3.0] * n + [10.0] * (n - 1))
+    lost = ~stochastic._positive_ends(
+        np.clip(theta + alpha[:, None] * step, -hi, hi), n)
+    th, step, alpha = theta[lost], step[lost], alpha[lost]
+    got = stochastic._halve_to_ends(th, step, alpha, -hi, hi, n)
+    for i in range(len(th)):
+        a = alpha[i]
+        while True:
+            a *= 0.5
+            point = np.clip(th[i] + a * step[i], -hi, hi)
+            if a < stochastic._MIN_STEP or stochastic._positive_ends(
+                    point[None], n)[0]:
+                break
+        found = a >= stochastic._MIN_STEP
+        assert got[2][i] == found
+        if found:
+            assert got[0][i] == a
+            np.testing.assert_array_equal(got[1][i], point)
+    assert 0 < got[2].sum() < len(th)
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         gen = m9_generator()
