@@ -24,9 +24,11 @@ own tree.  Four input sets, all drawn here:
 Both sides run ``phase_type_params`` on every chain and ``variants``
 input, then ``invert_unbranched`` on a chain and ``enumerate_variants``
 on a ``variants`` input.  On a block of draws they run
-``inverse.generic_branches`` for every model of ``models.SOLVABLE_N3``
-and answer with a SHA-256 digest of the bytes of each branch's rates and
-mask, so the comparison is bit for bit without sending the arrays.  An
+``inverse.generic_branches`` for every model of ``models.SOLVABLE_N3``,
+through whichever signature their own tree has (one model per call, or
+every model from one call), and answer with a SHA-256 digest of the
+bytes of each branch's rates and mask, in the same order either way, so
+the comparison is bit for bit without sending the arrays.  An
 input is ``equal`` when every number of both sides' results has the
 same bits, or both raise the same exception type; ``error_type_changed``
 when only one side raises, or they raise different types; ``differ``
@@ -86,6 +88,7 @@ def plain(obj):
 def worker() -> None:
     """Answer the inputs named on stdin, one JSON line in and out each."""
     import hashlib
+    import inspect
 
     from phasekit import direct, inverse, models, rashomon
 
@@ -99,10 +102,20 @@ def worker() -> None:
     def branches(seed: int) -> dict:
         m = rashomon._draw_moments(np.random.default_rng(seed),
                                    rashomon._BLOCK)
+        if "tag" in inspect.signature(inverse.generic_branches).parameters:
+            # One model per call, as ([(rates, ok), ...], checks).
+            each = {model: inverse.generic_branches(model.tag, m)[0]
+                    for model in models.SOLVABLE_N3}
+        else:
+            # Every model from one call, as {model: (k, ok, checks)} with
+            # k (5, branches, batch) and ok (branches, batch).
+            each = {model: [(k[:, j], ok[j]) for j in range(k.shape[1])]
+                    for model, (k, ok, _) in
+                    inverse.generic_branches(m).items()}
         out = {}
         for model in models.SOLVABLE_N3:
             digest = hashlib.sha256()
-            for rates, ok in inverse.generic_branches(model.tag, m)[0]:
+            for rates, ok in each[model]:
                 digest.update(np.array(rates, dtype=float).tobytes())
                 digest.update(np.asarray(ok, dtype=bool).tobytes())
             out[model.tag] = digest.hexdigest()

@@ -211,8 +211,11 @@ def _cmd_invert(args, manifest: _Manifest) -> int:
     else:
         m = _moments_from_args(args)
         grid = tuple(_parse_floats(args.k3_grid or ""))
-        sols = inverse.make_solutions(m, inverse.candidates(
-            model, m, grid or simple_systems.FREE_GRID))
+        found, missed = inverse.candidates(
+            m, (model,), grid or simple_systems.FREE_GRID)
+        if missed:
+            raise missed[model]
+        sols = inverse.make_solutions(m, found)
         payload_m = {"L": list(m.L), "S": list(m.S)}
     payload = {
         "model": str(model),

@@ -13,10 +13,12 @@ Three solver paths are provided:
 
 The first two also give their candidates unrefined
 (``generic_candidates``, ``thomas_candidates``); ``candidates`` takes the
-generic branch where it applies and the Thomas search elsewhere, and
+generic branch where it applies and the Thomas search elsewhere, for
+many models from one call of ``generic_branches``, and
 ``make_solutions`` Newton-refines the candidates of one input, whatever
-their models, in one batch.  Every returned solution carries a forward round-trip residual;
-that residual, not the solver algebra, is the acceptance oracle.
+their models, in one batch.  Every returned solution carries a forward
+round-trip residual; that residual, not the solver algebra, is the
+acceptance oracle.
 """
 
 from __future__ import annotations
@@ -218,11 +220,6 @@ def _nonzero(what, value, terms):
             np.abs(value) <= _ROUNDING_BAND * terms)
 
 
-def _holds(checks):
-    """Mask of the inputs on which none of ``checks`` failed."""
-    return ~np.logical_or.reduce([failed for *_, failed in checks])
-
-
 def _raise_first_failure(checks):
     for error, what, value, failed in checks:
         if np.any(failed):
@@ -247,109 +244,117 @@ def _family_condition(L1, L2, L3, S1, S2):
     return G, terms
 
 
-def generic_branches(tag: str, m: SymmetricMoments):
-    """Closed forms of the generic branch of M2, M4, M8 or M9.
+@np.errstate(divide="ignore", invalid="ignore")
+def generic_branches(m: SymmetricMoments,
+                     wanted=models.SOLVABLE_N3) -> dict:
+    """Closed forms of the generic branches of the models ``wanted``, any
+    of M2, M4, M8 and M9, from one evaluation of the values they share.
 
-    ``m.L`` and ``m.S`` hold a batch of inputs along their second axis.
-    Returns ``(branches, checks)``: ``branches`` has one ``(rates, ok)``
-    pair per branch (one for M2, one per quadratic root otherwise), the
-    rates k1..k5 and the mask of the inputs on which every inequation of
-    that branch holds; elsewhere the rates may be inf or nan.  ``checks``
-    lists the inequations in the order invert_generic tests them, as
-    (error type, condition, value, failed mask).
+    ``m.L`` and ``m.S`` hold one input or a batch along their second
+    axis.  Returns a dict from each wanted model, in the order given, to
+    ``(k, ok, checks)``: the rates k1..k5 of each branch (one for M2, one
+    per quadratic root otherwise), shape (5, branches, batch); the mask
+    (branches, batch) of the inputs on which every inequation of the
+    branch holds, elsewhere the rates may be inf or nan; and the
+    inequations in the order :func:`generic_candidates` tests them, as
+    (error type, condition, value, failed mask).  A shared value (G,
+    S1^3, k2 and k4 of M2 and M4, the quadratic of M4, M8 and M9) is
+    evaluated once, and only if a model that uses it is wanted.
 
-    Each power above the square is evaluated once per call and reused:
-    numpy's ``x ** 3`` and ``x ** 4`` go through ``pow``, which takes
-    about 150 ns per element for a negative base (S1 < 0 on 88% of the
-    experiment's draws) against about 4 ns for a positive one and 0.3 ns
-    for ``x ** 2``, so repeating them was about half of the experiment's
-    time.  The products ``S1 * S1 * S1`` would be faster still, but they
-    differ from ``S1 ** 3`` in the last bit on about a quarter of the
-    draws, so rates, masks and reports would change; a power bound once
-    keeps every one of them bit for bit.
+    So is each power above the square: numpy takes ``x ** 3`` and ``x **
+    4`` through ``pow``, at about 150 ns per element for a negative base
+    (S1 < 0 on 88% of the experiment's draws) against about 4 ns for a
+    positive one and 0.3 ns for ``x ** 2``.  The products ``S1 * S1 *
+    S1`` are cheaper still, but they differ from ``S1 ** 3`` in the last
+    bit on about a quarter of the draws, so rates, masks and reports
+    would change; a power bound once keeps them bit for bit.
     """
-    L1, L2, L3, S1, S2 = _three_state(m)
+    tags = {model.tag for model in wanted}
+    # One input as a batch of one: numpy's scalar powers can differ in the
+    # last bit from its array loops, which the experiment's batches take.
+    L1, L2, L3, S1, S2 = map(np.atleast_1d, _three_state(m))
+    out = {}
     G, G_terms = _family_condition(L1, L2, L3, S1, S2)
     s1_3 = S1 ** 3
-    s1_cubed = s1_3 - S1 * S2
-    # Inequations that M2 and M4 share
-    shared_24 = [_nonzero("S1^3 - S1 S2", s1_cubed,
-                          np.abs(S1) ** 3 + np.abs(S1 * S2)),
-                 _nonzero("S2", S2, S1 ** 2 + np.abs(L2))]
     k5 = -S1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # k2 and k4 of M2 and of M4
+    if tags & {"M2", "M4"}:
+        s1_cubed = s1_3 - S1 * S2
+        shared_24 = [_nonzero("S1^3 - S1 S2", s1_cubed,
+                              np.abs(S1) ** 3 + np.abs(S1 * S2)),
+                     _nonzero("S2", S2, S1 ** 2 + np.abs(L2))]
         k2_24 = G / s1_cubed
         k4_24 = (S1 ** 2 - S2) / S1
-        if tag == "M2":
-            s1_4, s2_3 = S1 ** 4, S2 ** 3
-            num = (L1 ** 2 * s1_3 * S2 + L2 ** 2 * s1_3 + S1 * s2_3
-                   + L3 ** 2 * S1
-                   + (-2.0 * S1 ** 2 * S2 ** 2
-                      + (-s1_4 - S1 ** 2 * S2) * L2
-                      + (s1_3 + S1 * S2) * L3) * L1
-                   + (s1_3 * S2 - 2.0 * L3 * S1 ** 2 + S1 * S2 ** 2) * L2
-                   + (s1_4 - 3.0 * S1 ** 2 * S2) * L3)
-            den = (-S1 ** 2 * S2 ** 2 + s2_3
-                   + (s1_3 * S2 - S1 * S2 ** 2) * L1
-                   + (-s1_4 + S1 ** 2 * S2) * L2
-                   + (s1_3 - S1 * S2) * L3)
-            den_terms = (S1 ** 2 * S2 ** 2 + np.abs(S2) ** 3
-                         + np.abs(s1_3 * S2 * L1)
-                         + np.abs(S1 * S2 ** 2 * L1)
-                         + s1_4 * np.abs(L2) + S1 ** 2 * np.abs(S2 * L2)
-                         + np.abs(s1_3 * L3) + np.abs(S1 * S2 * L3))
-            checks = [_nonzero("G", G, G_terms), *shared_24,
-                      _nonzero("the k1 pivot", den, den_terms)]
-            rates = (-num / den, k2_24, (S1 ** 2 - S2) * L3 / G, k4_24, k5)
-            return [(rates, _holds(checks))], checks
-
-        checks = [_nonzero("L3", L3, np.abs(L1 * L2))]
-        if tag == "M4":
-            checks += [*shared_24, _nonzero("S1^2 - S2", S1 ** 2 - S2,
-                                            S1 ** 2 + np.abs(S2))]
-        elif tag in ("M8", "M9"):
-            checks += [_nonzero("S1", S1, np.abs(L1))]
-        else:
-            raise ValueError(f"no generic inverse formulas for model {tag}")
+    if "M2" in tags:
+        s1_4, s2_3 = S1 ** 4, S2 ** 3
+        num = (L1 ** 2 * s1_3 * S2 + L2 ** 2 * s1_3 + S1 * s2_3
+               + L3 ** 2 * S1
+               + (-2.0 * S1 ** 2 * S2 ** 2
+                  + (-s1_4 - S1 ** 2 * S2) * L2
+                  + (s1_3 + S1 * S2) * L3) * L1
+               + (s1_3 * S2 - 2.0 * L3 * S1 ** 2 + S1 * S2 ** 2) * L2
+               + (s1_4 - 3.0 * S1 ** 2 * S2) * L3)
+        den = (-S1 ** 2 * S2 ** 2 + s2_3
+               + (s1_3 * S2 - S1 * S2 ** 2) * L1
+               + (-s1_4 + S1 ** 2 * S2) * L2
+               + (s1_3 - S1 * S2) * L3)
+        den_terms = (S1 ** 2 * S2 ** 2 + np.abs(S2) ** 3
+                     + np.abs(s1_3 * S2 * L1)
+                     + np.abs(S1 * S2 ** 2 * L1)
+                     + s1_4 * np.abs(L2) + S1 ** 2 * np.abs(S2 * L2)
+                     + np.abs(s1_3 * L3) + np.abs(S1 * S2 * L3))
+        out["M2"] = _branches(
+            (-num / den, k2_24, (S1 ** 2 - S2) * L3 / G, k4_24, k5),
+            [_nonzero("G", G, G_terms), *shared_24,
+             _nonzero("the k1 pivot", den, den_terms)], [[]])
+    if tags - {"M2"}:
+        l3_nonzero = _nonzero("L3", L3, np.abs(L1 * L2))
         disc = (L1 * S1) ** 2 - 2.0 * L1 * S1 * S2 - 4.0 * L3 * S1 + S2 ** 2
         disc_terms = ((L1 * S1) ** 2 + 2.0 * np.abs(L1 * S1 * S2)
                       + 4.0 * np.abs(L3 * S1) + S2 ** 2)
-        checks += [
+        disc_checks = [
             (GenericBranchMiss, "a discriminant outside the degenerate band",
              disc, np.abs(disc) <= _ROUNDING_BAND * disc_terms),
             (NegativeDiscriminant, "a real quadratic branch, discriminant > 0",
              disc, disc < 0.0)]
         root = np.sqrt(disc)
-        quads = [-(L1 * S1 - S2 + root) / (2.0 * S1),
-                 -(L1 * S1 - S2 - root) / (2.0 * S1)]
+        # Both roots at once: k3 of M4, and k2 of M8 and M9.
+        q = np.stack([-(L1 * S1 - S2 + root) / (2.0 * S1),
+                      -(L1 * S1 - S2 - root) / (2.0 * S1)])
+    if "M4" in tags:
+        k1 = (-L1 * S1 ** 2 + L2 * S1 + S1 * S2
+              - (S1 ** 2 - S2) * q - L3) / (S1 ** 2 - S2)
+        out["M4"] = _branches((k1, k2_24, q, k4_24, k5), [
+            l3_nonzero, *shared_24, _nonzero("S1^2 - S2", S1 ** 2 - S2,
+                                             S1 ** 2 + np.abs(S2)),
+            *disc_checks])
+    if tags & {"M8", "M9"}:
+        checks_89 = [l3_nonzero, _nonzero("S1", S1, np.abs(L1)), *disc_checks]
+        k3_num = -(-s1_3 * q + L1 * S1 * S2 - L2 * S1 ** 2
+                   + S1 * S2 * q + L3 * S1 - S2 ** 2)
+    if "M8" in tags:
+        out["M8"] = _branches((L3 / (S1 * q), q, k3_num / (q * S1 ** 2),
+                               G / (q * S1 ** 2), k5), checks_89)
+    if "M9" in tags:
+        pivot = 2.0 * q * S1 + L1 * S1 - S2
+        terms = 2.0 * np.abs(q * S1) + np.abs(L1 * S1) + np.abs(S2)
+        k1 = -(q * S1 + L1 * S1 - S2) / S1
+        k4 = (L1 * S1 ** 2 + S1 ** 2 * q - L2 * S1 - S1 * S2
+              - S2 * q + L3) / pivot
+        out["M9"] = _branches(
+            (k1, q, k3_num / (S1 * pivot), k4, k5), checks_89,
+            [[_nonzero(f"the k4 pivot of root {j}", pivot[j], terms[j])]
+             for j in range(2)])
+    return {model: out[model.tag] for model in wanted}
 
-        # The quadratic gives k3 of M4 and k2 of M8 and M9.
-        branches, pivots = [], []
-        for j, q in enumerate(quads):
-            own = []
-            if tag == "M4":
-                k1 = (-L1 * S1 ** 2 + L2 * S1 + S1 * S2
-                      - (S1 ** 2 - S2) * q - L3) / (S1 ** 2 - S2)
-                rates = (k1, k2_24, q, k4_24, k5)
-            elif tag == "M8":
-                k3 = -(-s1_3 * q + L1 * S1 * S2 - L2 * S1 ** 2
-                       + S1 * S2 * q + L3 * S1 - S2 ** 2) / (q * S1 ** 2)
-                rates = (L3 / (S1 * q), q, k3, G / (q * S1 ** 2), k5)
-            else:
-                pivot = 2.0 * q * S1 + L1 * S1 - S2
-                own = [_nonzero(f"the k4 pivot of root {j}", pivot,
-                                2.0 * np.abs(q * S1) + np.abs(L1 * S1)
-                                + np.abs(S2))]
-                k1 = -(q * S1 + L1 * S1 - S2) / S1
-                k3 = -(-s1_3 * q + L1 * S1 * S2 - L2 * S1 ** 2
-                       + S1 * S2 * q + L3 * S1 - S2 ** 2) / (S1 * pivot)
-                k4 = (L1 * S1 ** 2 + S1 ** 2 * q - L2 * S1 - S1 * S2
-                      - S2 * q + L3) / pivot
-                rates = (k1, q, k3, k4, k5)
-            pivots += own
-            branches.append((rates, _holds(checks + own)))
-        return branches, checks + pivots
+
+def _branches(rates, checks, own=([], [])):
+    """:func:`generic_branches`' ``(k, ok, checks)`` of one model from its
+    rates, the inequations of all its branches and of each (``own``)."""
+    k = np.stack(np.broadcast_arrays(*rates))
+    return (k.reshape(5, len(own), -1),
+            ~np.array([np.logical_or.reduce([f for *_, f in checks + o])
+                       for o in own]),
+            checks + [check for o in own for check in o])
 
 
 def invert_generic(model: models.ModelId, m: SymmetricMoments,
@@ -376,18 +381,15 @@ def invert_generic(model: models.ModelId, m: SymmetricMoments,
 
 def generic_candidates(model: models.ModelId, m: SymmetricMoments,
                        k3_grid=simple_systems.FREE_GRID,
-                       hypersurface_tol: float = simple_systems.TOL
-                       ) -> list[tuple]:
-    """The solutions of :func:`invert_generic`, unpolished."""
+                       hypersurface_tol: float = simple_systems.TOL,
+                       closed=None) -> list[tuple]:
+    """The solutions of :func:`invert_generic`, unpolished; ``closed``,
+    when given, holds this model's :func:`generic_branches` of ``m``."""
     if model != models.M3:
-        # As a batch of one: numpy's scalar powers can differ in the last
-        # bit from its array loops, which the experiment's batches take.
-        batch = SymmetricMoments(L=m.L[:, None], S=m.S[:, None])
-        branches, checks = generic_branches(model.tag, batch)
+        k, _, checks = (closed or generic_branches(m, (model,)))[model]
         _raise_first_failure(checks)
-        return [(model, np.ravel(rates), "generic" if len(branches) == 1
-                 else f"generic/root{j}", ()) for j, (rates, _)
-                in enumerate(branches)]
+        return [(model, k[:, j, 0], "generic" if k.shape[1] == 1
+                 else f"generic/root{j}", ()) for j in range(k.shape[1])]
 
     L1, L2, L3, S1, S2 = _three_state(m)
     G, G_terms = _family_condition(L1, L2, L3, S1, S2)
@@ -436,23 +438,26 @@ def thomas_candidates(model: models.ModelId,
              tuple(sorted(bs.free_values.items()))) for bs in branch_sols]
 
 
-def candidates(model: models.ModelId, m: SymmetricMoments,
-               k3_grid=simple_systems.FREE_GRID) -> list[tuple]:
-    """The unpolished solutions of one catalog model: the generic branch's
-    (the M3 family over ``k3_grid``), or the Thomas search's where the
-    generic branch has no solution.
-
-    When neither has one, raises the Thomas search's NoSolution with the
-    message "<generic error>; <Thomas error>".
-    """
-    try:
-        return generic_candidates(model, m, k3_grid)
-    except NoSolution as generic_miss:
+def candidates(m: SymmetricMoments, wanted=models.SOLVABLE_N3,
+               k3_grid=simple_systems.FREE_GRID):
+    """The unpolished solutions of the models ``wanted``: the generic
+    branch's (one :func:`generic_branches` call for all; the M3 family
+    over ``k3_grid``), else the Thomas search's; and a dict of the Thomas
+    NoSolution, "<generic error>; <Thomas error>", of each model that
+    neither solves."""
+    generic = [model for model in wanted if model != models.M3]
+    closed = generic_branches(m, generic) if generic else {}
+    found, missed = [], {}
+    for model in wanted:
         try:
-            return thomas_candidates(model, m)
-        except NoSolution as exc:
-            exc.args = (f"{generic_miss}; {exc}",)
-            raise
+            found += generic_candidates(model, m, k3_grid, closed=closed)
+        except NoSolution as generic_miss:
+            try:
+                found += thomas_candidates(model, m)
+            except NoSolution as exc:
+                exc.args = (f"{generic_miss}; {exc}",)
+                missed[model] = exc
+    return found, missed
 
 
 def _stieltjes_tridiagonal(lam: np.ndarray,

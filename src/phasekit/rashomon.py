@@ -16,8 +16,7 @@ import numpy as np
 
 from . import direct, inverse, models
 from .direct import PhaseTypeParams, SymmetricMoments
-from .errors import (DomainViolation, NoSolution, SingularSteadyState,
-                     WrongArity)
+from .errors import DomainViolation, SingularSteadyState, WrongArity
 
 
 @dataclass(frozen=True)
@@ -126,54 +125,72 @@ class VariantReport:
         return sum(1 for i in self.instances if i.valid)
 
 
+#: The rows of the spreads of :func:`_variant_markers`.
+SPREAD_ROWS = ("p1", "log10_T1", "p2", "log10_T2", "p3", "log10_T3", "T3",
+               "k5")
+
+
+def _variant_markers(groups):
+    """Validity, markers and spreads of the variants of n inputs, for
+    :func:`enumerate_variants` and the experiment alike.
+
+    Each group is ``(batch, (k, ok, ...))``, as the items of
+    :func:`inverse.generic_branches`: one model or one per variant, the
+    rates k1..k5 of its variants, shape (5, variants, n), and the mask of
+    those whose inequations hold.  A variant is valid where that holds
+    and its rates are :func:`inverse.clearly_positive`.  Returns, for
+    each group, its validity mask and markers T and p (nan if invalid),
+    and over the valid variants of each input that has one, the spread
+    and greatest value of each of the ``SPREAD_ROWS``, each (8, n_kept).
+    A group at a time, masking rates, not markers, keeps arrays small.
+    """
+    each, low, top = [], np.nan, np.nan
+    for batch, (k, ok, *_) in groups:
+        valid = ok & inverse.clearly_positive(k)
+        # Invalid variants get nan rates, so nan markers that fmin skips.
+        k = np.where(valid, k, np.nan)
+        T, p = direct.no_exit_markers(batch, k)
+        marks = np.array([p[0], T[0], p[1], T[1], p[2], T[2], T[2], k[4]])
+        np.log10(marks[1:6:2], out=marks[1:6:2])
+        low = np.fmin(low, np.fmin.reduce(marks, axis=1))
+        top = np.fmax(top, np.fmax.reduce(marks, axis=1))
+        each.append((valid, T, p))
+    kept = ~np.isnan(low[0])
+    return each, (top - low)[:, kept], top[:, kept]
+
+
 def enumerate_variants(p: PhaseTypeParams) -> VariantReport:
     """Invert the input under every model of ``models.SOLVABLE_N3`` and
     attach markers.
 
-    The candidate solutions of all models (:func:`inverse.candidates`:
-    generic closed forms, or the Thomas search where those fail) are
-    polished together in one batch.
-
-    An instance is valid exactly when its rates are real and all
-    positive beyond the rounding band of :func:`inverse.clearly_positive`
-    (:attr:`inverse.InverseSolution.all_positive`).  Every catalog chain
-    is irreducible, so positive rates always give it finite lifetimes and
-    a positive steady state: valid instances get :func:`markers` and
-    enter the delta and shared-invariant computations, and invalid ones
-    are kept, without markers, for inspection.  ``diagnostics`` notes the
-    models that neither the generic closed forms nor the Thomas search
-    could invert.
+    The candidate solutions of all models (:func:`inverse.candidates`)
+    are polished together in one batch.  :func:`_variant_markers` applies
+    the experiment's rule: an instance is valid exactly when its rates
+    are real and positive beyond the rounding band of
+    :func:`inverse.clearly_positive`.  Every catalog chain is irreducible,
+    so positive rates give it finite lifetimes and a positive steady
+    state: valid instances get markers and enter the delta and
+    shared-invariant computations, and invalid ones are kept, without
+    markers, for inspection.  ``diagnostics`` notes the models that
+    neither the generic closed forms nor the Thomas search could invert.
     """
     m = direct.moments(p)
-    candidates = []
-    diagnostics: dict[str, str] = {}
-    for model in models.SOLVABLE_N3:
-        try:
-            candidates += inverse.candidates(model, m)
-        except NoSolution as exc:
-            diagnostics[str(model)] = str(exc)
-    instances = []
-    for sol in inverse.make_solutions(m, candidates):
-        ok = sol.all_positive
-        instances.append(VariantInstance(
-            sol, markers(sol.model, sol.rates) if ok else None, ok))
-
-    valid = [i for i in instances if i.valid]
-    deltas = {}
-    spreads = {}
-    if valid:
-        p_arr = np.array([i.markers.p for i in valid])
-        t_arr = np.array([i.markers.T for i in valid])
-        logt = np.log10(t_arr)
-        for j in range(3):
-            deltas[f"p{j + 1}"] = float(np.ptp(p_arr[:, j]))
-            deltas[f"log10_T{j + 1}"] = float(np.ptp(logt[:, j]))
-        k5s = np.array([i.solution.rates[4] for i in valid])
-        for name, col in (("k5", k5s), ("T3", t_arr[:, 2]),
-                          ("p3", p_arr[:, 2])):
-            spreads[name] = float(np.ptp(col) / max(np.abs(col).max(), 1e-300))
-    return VariantReport(instances=instances, deltas=deltas,
-                         constraint_spreads=spreads, diagnostics=diagnostics)
+    candidates, missed = inverse.candidates(m)
+    diagnostics = {str(model): str(exc) for model, exc in missed.items()}
+    sols = inverse.make_solutions(m, candidates)
+    if not sols:
+        return VariantReport([], {}, {}, diagnostics)
+    [(valid, T, occ)], spread, top = _variant_markers([(
+        [s.model for s in sols],
+        (np.array([s.rates for s in sols]).T[:, :, None], True))])
+    instances = [VariantInstance(sol, Markers(tuple(t), tuple(q)) if ok
+                                 else None, bool(ok)) for sol, ok, t, q
+                 in zip(sols, valid[:, 0], np.array(T)[:, :, 0].T.tolist(),
+                        np.array(occ)[:, :, 0].T.tolist())]
+    rel = (spread / np.maximum(top, 1e-300))[[7, 6, 4]]  # k5, T3, p3
+    return VariantReport(
+        instances, dict(zip(SPREAD_ROWS[:6], spread[:6].ravel().tolist())),
+        dict(zip(("k5", "T3", "p3"), rel.ravel().tolist())), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -249,55 +266,34 @@ def _draw_moments(rng, n: int) -> SymmetricMoments:
            a1 * l1 ** 2 + a2 * l2 ** 2 + a3 * l3 ** 2))
 
 
-def _retained_deltas(m: SymmetricMoments):
-    """Spreads of p1, log10 T1 and log10 T2 over the valid variants.
-
-    A variant is a generic-branch solution whose inequations hold and
-    whose rates are all finite and positive beyond rounding, as for
-    :attr:`inverse.InverseSolution.all_positive`; its markers come from
-    :func:`direct.no_exit_markers`, as for :func:`markers`.  Returns a
-    (3, n_retained) array, one column per sample with at least one valid
-    variant.
-    """
-    shape = (3,) + m.L.shape[1:]
-    low = np.full(shape, np.inf)
-    high = np.full(shape, -np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for model in models.SOLVABLE_N3:
-            for rates, ok in inverse.generic_branches(model.tag, m)[0]:
-                keep = ok & inverse.clearly_positive(rates)
-                (T1, T2, _), (p1, _, _) = direct.no_exit_markers(model, rates)
-                marks = np.array([p1, np.log10(T1), np.log10(T2)])
-                low = np.where(keep, np.minimum(low, marks), low)
-                high = np.where(keep, np.maximum(high, marks), high)
-    return (high - low)[:, np.isfinite(low[0])]
-
-
 def discrimination_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Monte Carlo discrimination study over random survival parameters.
 
     Each sample draws amplitudes A1, A2 uniform on [0,1] (A3 completes
     the sum to 1) and three decay rates log-uniform over four decades,
-    inverts every model of ``models.SOLVABLE_N3`` with the generic
-    closed forms of invert_generic, retains the sample if any model has
-    an all-positive real solution, and records the spreads of p_1 and
-    log10 T_1, log10 T_2 across all valid variants.  All samples come
+    inverts every model of ``models.SOLVABLE_N3`` with the closed forms
+    of invert_generic (one :func:`inverse.generic_branches` call per
+    block), retains the sample if it has a valid variant under the rule
+    of :func:`enumerate_variants`, and records the spreads of p_1 and
+    log10 T_1, log10 T_2 across its valid variants.  All samples come
     from one stream seeded with ``cfg.seed``, drawn and inverted in
     blocks of fixed size, so a seed gives the same report every time.
     """
     rng = np.random.default_rng(cfg.seed)
-    p_edges = np.linspace(0.0, 1.0, N_BINS + 1)
-    t_edges = np.linspace(0.0, LOG_DELTA_MAX, N_BINS + 1)
+    edges = [np.linspace(0.0, top, N_BINS + 1)
+             for top in (1.0, LOG_DELTA_MAX, LOG_DELTA_MAX)]
     n_ret = 0
     zero = np.zeros(3, dtype=np.int64)
     counts = np.zeros((3, N_BINS), dtype=np.int64)
     for start in range(0, cfg.n_samples, _BLOCK):
         n = min(_BLOCK, cfg.n_samples - start)
-        deltas = _retained_deltas(_draw_moments(rng, n))
+        _, spread, _ = _variant_markers(
+            inverse.generic_branches(_draw_moments(rng, n)).items())
+        deltas = spread[[0, 1, 3]]  # p1, log10 T1 and log10 T2
         n_ret += deltas.shape[1]
         zero += np.sum(deltas <= ZERO_DELTA_TOL, axis=1)
-        for j, edges in enumerate((p_edges, t_edges, t_edges)):
-            bins = np.searchsorted(edges, deltas[j], side="right") - 1
+        for j in range(3):
+            bins = np.searchsorted(edges[j], deltas[j], side="right") - 1
             counts[j] += np.bincount(np.minimum(bins, N_BINS - 1),
                                      minlength=N_BINS)
 
@@ -308,12 +304,7 @@ def discrimination_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         zero_fraction_p=zero[0] / denom,
         zero_fraction_t1=zero[1] / denom,
         zero_fraction_t2=zero[2] / denom,
-        histograms={
-            "delta_p1": {"edges": p_edges.tolist(),
-                         "counts": counts[0].tolist()},
-            "delta_log10_T1": {"edges": t_edges.tolist(),
-                               "counts": counts[1].tolist()},
-            "delta_log10_T2": {"edges": t_edges.tolist(),
-                               "counts": counts[2].tolist()},
-        },
+        histograms={name: {"edges": e.tolist(), "counts": c.tolist()}
+                    for name, e, c in zip(("delta_p1", "delta_log10_T1",
+                                           "delta_log10_T2"), edges, counts)},
     )

@@ -126,25 +126,30 @@ class CountedPowers(np.ndarray):
         return super().__pow__(exponent)
 
 
-@pytest.mark.parametrize("tag,most", [("M2", 5), ("M4", 2), ("M8", 2),
-                                      ("M9", 2)])
-def test_generic_branches_take_each_slow_power_once(tag, most, monkeypatch):
+@pytest.mark.parametrize("tags,most", [("M2", 5), ("M4", 2), ("M8", 1),
+                                       ("M9", 1), ("M2,M4,M8,M9", 5)])
+def test_generic_branches_take_each_slow_power_once(tags, most, monkeypatch):
     # x ** 3 and x ** 4 cost about 150 ns per element for a negative base,
-    # so each is evaluated once per call.  M2 needs S1^3, S1^4 and S2^3 and
-    # the cubes of |S1| and |S2| for its bands; the others S1^3 and |S1|^3.
-    _, m = forward_moments(tag, [0.3, 0.7, 2.0, 1.1, 0.9])
+    # so each is evaluated once per call, and only for the models asked
+    # for.  M2 needs S1^3, S1^4 and S2^3 and the cubes of |S1| and |S2| for
+    # its bands; M4 S1^3 and |S1|^3; M8 and M9 S1^3 alone.  One call for
+    # all four models takes no more than M2 alone.
+    wanted = [models.model_from_string(tag) for tag in tags.split(",")]
+    _, m = forward_moments(wanted[0].tag, [0.3, 0.7, 2.0, 1.1, 0.9])
     # SymmetricMoments would strip the subclass: generic_branches reads
     # only L and S.
     counted = SimpleNamespace(L=m.L[:, None].view(CountedPowers),
                               S=m.S[:, None].view(CountedPowers))
     monkeypatch.setattr(CountedPowers, "slow", 0)
-    branches, _ = inverse.generic_branches(tag, counted)
+    got = inverse.generic_branches(counted, wanted)
     assert CountedPowers.slow <= most
+    assert list(got) == wanted
+    # The rates and masks of plain arrays, each model in a call of its own.
     plain = direct.SymmetricMoments(L=m.L[:, None], S=m.S[:, None])
-    for (rates, ok), (want, want_ok) in zip(
-            branches, inverse.generic_branches(tag, plain)[0]):
-        np.testing.assert_array_equal(np.ravel(rates), np.ravel(want))
-        np.testing.assert_array_equal(ok, want_ok)
+    for model in wanted:
+        k, ok, _ = inverse.generic_branches(plain, (model,))[model]
+        np.testing.assert_array_equal(got[model][0], k)
+        np.testing.assert_array_equal(got[model][1], ok)
 
 
 class TestThomasSearch:
@@ -203,12 +208,12 @@ class TestCandidates:
         assert issubclass(error, NoSolution)
 
     def test_generic_input_takes_generic_branch(self):
-        assert [c[2] for c in inverse.candidates(models.M9, M9_MOMENTS)] == [
-            "generic/root0", "generic/root1"]
+        found, _ = inverse.candidates(M9_MOMENTS, (models.M9,))
+        assert [c[2] for c in found] == ["generic/root0", "generic/root1"]
 
     def test_m3_family_takes_the_grid(self):
         _, m = forward_moments("M3", [1.0, 2.0, 3.0, 4.0, 5.0])
-        got = inverse.candidates(models.M3, m, k3_grid=(0.5, 2.0))
+        got, _ = inverse.candidates(m, (models.M3,), k3_grid=(0.5, 2.0))
         assert [c[3] for c in got] == [(("k3", 0.5),), (("k3", 2.0),)]
 
     def test_both_misses_raise_the_thomas_error(self):
@@ -217,8 +222,9 @@ class TestCandidates:
         _, m = forward_moments("M9", [1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
         with pytest.raises(M3HypersurfaceMiss) as generic:
             inverse.generic_candidates(models.M3, m)
+        _, missed = inverse.candidates(m, (models.M3,))
         with pytest.raises(NoBranchMatches) as both:
-            inverse.candidates(models.M3, m)
+            raise missed[models.M3]
         assert str(both.value) == (
             f"{generic.value}; no simple system of M3 accepts the input")
         assert both.value.diagnostics["model"] == "M3"
@@ -228,8 +234,9 @@ class TestCandidates:
         # A simple system of each model accepts these moments, but every
         # branch it gives is complex, so the model must still be reported.
         m = direct.SymmetricMoments(L=(1.0, 1.0, 1.0), S=(1.0, 1.0))
+        _, missed = inverse.candidates(m, (model,))
         with pytest.raises(NoBranchMatches, match="no real solution"):
-            inverse.candidates(model, m)
+            raise missed[model]
 
 
 class TestUnbranchedChain:

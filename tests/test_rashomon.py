@@ -203,6 +203,87 @@ class TestEnumerateVariants:
         assert min(dists) < 1e-8
 
 
+class TestVariantMarkers:
+    """_variant_markers applies the one variant rule (validity, markers
+    and spreads) for enumerate_variants and the experiment."""
+
+    EPS = np.finfo(float).eps
+    # Rates k[:, variant, input] of two inputs.  Input 0 has a valid M9
+    # column, an M9 column with k3 inside the 64-eps band, an M9 column
+    # with a nan rate and a valid M8 column.  Input 1 has no valid
+    # column: a rate in the band, a negative rate, a nan rate, and
+    # positive M8 rates whose inequations failed.
+    M9_K = np.array([
+        [[1.0, 2.0, 3.0, 4.0, 5.0], [0.3, 2.0, 7.0, 100 * EPS, 1.5]],
+        [[1.0, 2.0, 50 * EPS, 4.0, 5.0], [0.3, -2.0, 7.0, 0.5, 1.5]],
+        [[np.nan, 2.0, 3.0, 4.0, 5.0], [0.3, 2.0, 7.0, np.nan, 1.5]],
+    ]).transpose(2, 0, 1)
+    M8_K = np.array([[[1.0, 2.0, 1.5, 5.5, 5.0],
+                      [1.0, 2.0, 1.5, 5.5, 5.0]]]).transpose(2, 0, 1)
+    M8_OK = np.array([[True, False]])
+    VALID = [[True, False], [False, False], [False, False], [True, False]]
+
+    def expected_spreads(self, cols):
+        """Each row of SPREAD_ROWS over the (model, rates) columns, from
+        rashomon.markers, by np.ptp and max."""
+        rows = []
+        for model, k in cols:
+            mk = rashomon.markers(model, k)
+            rows.append([mk.p[0], np.log10(mk.T[0]), mk.p[1],
+                         np.log10(mk.T[1]), mk.p[2], np.log10(mk.T[2]),
+                         mk.T[2], k[4]])
+        rows = np.array(rows)
+        return np.ptp(rows, axis=0), rows.max(axis=0)
+
+    def check_markers(self, cols, valid, T, p):
+        for v, (model, k) in enumerate(cols):
+            if valid[v]:
+                mk = rashomon.markers(model, k)
+                assert tuple(T[:, v].tolist()) == mk.T
+                assert tuple(p[:, v].tolist()) == mk.p
+
+    def test_batch_of_inputs(self):
+        # As the experiment calls it: one model per group, n inputs.
+        each, spread, top = rashomon._variant_markers([
+            (models.M9, (self.M9_K, True)),
+            (models.M8, (self.M8_K, self.M8_OK))])
+        valid = np.concatenate([v for v, _, _ in each])
+        T, p = (np.concatenate([np.array(g[i]) for g in each], axis=1)
+                for i in (1, 2))
+        np.testing.assert_array_equal(valid, self.VALID)
+        assert T.shape == p.shape == (3, 4, 2)
+        cols = [(models.M9, self.M9_K[:, v, 0]) for v in range(3)] + [
+            (models.M8, self.M8_K[:, 0, 0])]
+        self.check_markers(cols, valid[:, 0], T[:, :, 0], p[:, :, 0])
+        # Input 1 has no valid column and is dropped.
+        assert spread.shape == top.shape == (len(rashomon.SPREAD_ROWS), 1)
+        want, want_top = self.expected_spreads([cols[0], cols[3]])
+        np.testing.assert_array_equal(spread[:, 0], want)
+        np.testing.assert_array_equal(top[:, 0], want_top)
+
+    def test_one_input_of_many_models(self):
+        # As enumerate_variants calls it: one model per column of one input.
+        cols = [(models.M9, self.M9_K[:, v, 0]) for v in range(3)] + [
+            (models.M8, self.M8_K[:, 0, 0])]
+        [(valid, T, p)], spread, top = rashomon._variant_markers([
+            ([model for model, _ in cols],
+             (np.array([k for _, k in cols]).T[:, :, None], True))])
+        np.testing.assert_array_equal(valid[:, 0], [True, False, False,
+                                                     True])
+        T, p = np.array(T), np.array(p)
+        self.check_markers(cols, valid[:, 0], T[:, :, 0], p[:, :, 0])
+        want, want_top = self.expected_spreads([cols[0], cols[3]])
+        np.testing.assert_array_equal(spread[:, 0], want)
+        np.testing.assert_array_equal(top[:, 0], want_top)
+
+    def test_no_valid_column_drops_the_input(self):
+        cols = [(models.M9, self.M9_K[:, v, 1]) for v in range(3)]
+        _, spread, top = rashomon._variant_markers([
+            ([model for model, _ in cols],
+             (np.array([k for _, k in cols]).T[:, :, None], True))])
+        assert spread.shape == top.shape == (len(rashomon.SPREAD_ROWS), 0)
+
+
 class TestExperiment:
     def test_small_run_deterministic(self):
         cfg = rashomon.ExperimentConfig(n_samples=500, seed=3)
@@ -224,17 +305,24 @@ class TestExperiment:
         m = direct.SymmetricMoments(
             L=np.column_stack([draws.L] + [d.L for d in degenerate]),
             S=np.column_stack([draws.S] + [d.S for d in degenerate]))
-        for model in models.SOLVABLE_N3:
-            batch, _ = inverse.generic_branches(model.tag, m)
-            for i in range(m.L.shape[1]):
-                one = direct.SymmetricMoments(L=m.L[:, i:i + 1],
-                                              S=m.S[:, i:i + 1])
-                scalar, _ = inverse.generic_branches(model.tag, one)
-                assert len(scalar) == len(batch)
-                for (rates, ok), (rates_i, ok_i) in zip(batch, scalar):
-                    np.testing.assert_array_equal(
-                        np.array(rates)[:, i], np.ravel(rates_i))
-                    assert ok[i] == ok_i[0]
+        batch = inverse.generic_branches(m)
+        assert list(batch) == list(models.SOLVABLE_N3)
+        for i in range(m.L.shape[1]):
+            one = direct.SymmetricMoments(L=m.L[:, i:i + 1],
+                                          S=m.S[:, i:i + 1])
+            scalar = inverse.generic_branches(one)
+            # A single input is taken as a batch of one.
+            single = inverse.generic_branches(
+                direct.SymmetricMoments(L=m.L[:, i], S=m.S[:, i]))
+            for model in models.SOLVABLE_N3:
+                (rates, ok, _), (rates_i, ok_i, _) = (batch[model],
+                                                      scalar[model])
+                assert rates_i.shape[1] == rates.shape[1]
+                np.testing.assert_array_equal(rates[:, :, i],
+                                              rates_i[:, :, 0])
+                np.testing.assert_array_equal(ok[:, i], ok_i[:, 0])
+                np.testing.assert_array_equal(single[model][0], rates_i)
+                np.testing.assert_array_equal(single[model][1], ok_i)
                 try:
                     inverse.invert_generic(
                         model, direct.SymmetricMoments(L=m.L[:, i],
@@ -242,7 +330,7 @@ class TestExperiment:
                     accepted = True
                 except (GenericBranchMiss, NegativeDiscriminant):
                     accepted = False
-                assert accepted == all(ok_i[0] for _, ok_i in scalar)
+                assert accepted == all(ok_i[:, 0])
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_needs_a_sample(self, n):
@@ -293,12 +381,12 @@ class TestBatchedPolish:
         p = params_for("M9", self.RATES)
         m = direct.moments(p)
         batch = direct.SymmetricMoments(L=m.L[:, None], S=m.S[:, None])
+        branches = inverse.generic_branches(batch)
         skipped = 0
         for inst in rashomon.enumerate_variants(p).instances:
             sol = inst.solution
-            branches, _ = inverse.generic_branches(sol.model.tag, batch)
             j = 0 if sol.branch == "generic" else int(sol.branch[-1])
-            closed = np.ravel(branches[j][0])
+            closed = np.ravel(branches[sol.model][0][:, j])
             if not inverse.clearly_positive(closed):
                 np.testing.assert_array_equal(sol.rates, closed)
                 assert not inst.valid
