@@ -6,7 +6,7 @@ against this checkout, bit for bit.
 
 Exports the commit ``BASE`` with ``git archive`` (``bench_pairs.export``)
 and starts one worker process per side, each importing phasekit from its
-own tree.  Four input sets, all drawn here:
+own tree.  Five input sets, all drawn or listed here:
 
 * ``chains``: 60 rounds of the perfbench ``chains`` workload at each of
   seeds 1-3 (``perfbench/workloads.Chains(seed)``, only read here), one
@@ -19,7 +19,11 @@ own tree.  Four input sets, all drawn here:
 * ``experiment``: ``EXPERIMENT_BLOCKS`` blocks of the discrimination
   experiment's draws (``rashomon._draw_moments``, one block of
   ``rashomon._BLOCK`` samples per seed), then the report of
-  ``discrimination_experiment`` at ``EXPERIMENT_REPORT``.
+  ``discrimination_experiment`` at ``EXPERIMENT_REPORT``;
+* ``pipeline``: ``phasekit pipeline`` on each of ``PIPELINE_MODELS`` at
+  rates 1..5 with ``PIPELINE_ARGS`` and each of ``PIPELINE_SEEDS``, and
+  ``phasekit invert`` on the inputs of ``tests/test_cli.py`` for M4, M9,
+  the lumpable M9 and chain2 (``invert_args``).
 
 Both sides run ``phase_type_params`` on every chain and ``variants``
 input, then ``invert_unbranched`` on a chain and ``enumerate_variants``
@@ -28,7 +32,10 @@ on a ``variants`` input.  On a block of draws they run
 through whichever signature their own tree has (one model per call, or
 every model from one call), and answer with a SHA-256 digest of the
 bytes of each branch's rates and mask, in the same order either way, so
-the comparison is bit for bit without sending the arrays.  An
+the comparison is bit for bit without sending the arrays.  A command of
+the ``pipeline`` set runs through ``cli.main`` in the worker, which
+answers with its exit code and its JSON payload without ``manifest``, or
+the JSON error it printed.  An
 input is ``equal`` when every number of both sides' results has the
 same bits, or both raise the same exception type; ``error_type_changed``
 when only one side raises, or they raise different types; ``differ``
@@ -67,6 +74,11 @@ WIDE_RATES = (-4.0, 4.0)
 #: Seeds of the blocks of experiment draws, and the experiment report.
 EXPERIMENT_BLOCKS = range(1, 21)
 EXPERIMENT_REPORT = {"seed": 7, "n_samples": 100_000}
+#: The ``pipeline`` runs: each model (with its extra arguments) and seed.
+PIPELINE_MODELS = {"M2": [], "M3": ["--m3-tol", "0.2"], "M4": [], "M8": [],
+                   "M9": [], "chain3": []}
+PIPELINE_ARGS = ["--rates", "1,2,3,4,5", "--n", "2000"]
+PIPELINE_SEEDS = (1, 2, 3)
 #: Digits of the reference that the chain inputs that differ are scored on.
 REFERENCE_DPS = 150
 
@@ -85,12 +97,35 @@ def plain(obj):
     return obj
 
 
+def invert_args() -> list:
+    """The ``phasekit invert`` argument lists of ``tests/test_cli.py``
+    for M4 (moments of rates 1, 1.5, 4, 3, 5), M9, the lumpable M9 and
+    chain2, with moments from this checkout's forward map."""
+    from phasekit import direct, models
+
+    def moments_of(model, rates) -> str:
+        m = direct.moments(direct.phase_type_params(
+            models.build_generator(model, np.array(rates))))
+        return "--moments=" + ",".join(repr(float(x)) for x in (*m.L, *m.S))
+
+    lumpable = [0.23748954533683428, 0.23748954533683428, 11.467584218175574,
+                75.86419643542978, 0.019443050680591042]
+    return [["invert", "--model", "M4",
+             moments_of(models.M4, [1.0, 1.5, 4.0, 3.0, 5.0])],
+            ["invert", "--model", "M9", "--moments=-15,27,-10,-5,60"],
+            ["invert", "--model", "M9", moments_of(models.M9, lumpable)],
+            ["invert", "--model", "chain2", "--lambda=-0.5,-2.0",
+             "--A=0.7,0.3"]]
+
+
 def worker() -> None:
     """Answer the inputs named on stdin, one JSON line in and out each."""
+    import contextlib
     import hashlib
     import inspect
+    import io
 
-    from phasekit import direct, inverse, models, rashomon
+    from phasekit import cli, direct, inverse, models, rashomon
 
     def attempt(fn, *args) -> tuple:
         try:
@@ -121,7 +156,19 @@ def worker() -> None:
             out[model.tag] = digest.hexdigest()
         return out
 
+    def command(argv: list) -> dict:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        if rc:
+            return {"rc": rc, "error": json.loads(err.getvalue())}
+        payload = json.loads(out.getvalue())
+        del payload["manifest"]
+        return {"rc": rc, "payload": payload}
+
     def answer(spec: dict) -> dict:
+        if "cli" in spec:
+            return command(spec["cli"])
         if "draws" in spec:
             return {"branches": branches(spec["draws"])}
         if "report" in spec:
@@ -210,7 +257,8 @@ def main(argv=None) -> int:
     import workloads
     from phasekit import models
 
-    inputs = {"chains": [], "wide": [], "variants": [], "experiment": []}
+    inputs = {"chains": [], "wide": [], "variants": [], "experiment": [],
+              "pipeline": []}
     for seed, rounds in CHAIN_ROUNDS.items():
         chains = workloads.Chains(seed)
         for _ in range(rounds):
@@ -228,6 +276,11 @@ def main(argv=None) -> int:
                                    for item in variants.next_round()]
     inputs["experiment"] = [{"draws": seed} for seed in EXPERIMENT_BLOCKS]
     inputs["experiment"].append({"report": EXPERIMENT_REPORT})
+    inputs["pipeline"] = [
+        {"cli": ["pipeline", "--model", model, *PIPELINE_ARGS, *extra,
+                 "--seed", str(seed)]}
+        for model, extra in PIPELINE_MODELS.items() for seed in PIPELINE_SEEDS]
+    inputs["pipeline"] += [{"cli": argv} for argv in invert_args()]
 
     base_sha = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT,
                               check=True, capture_output=True,

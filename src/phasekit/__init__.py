@@ -39,6 +39,7 @@ from .errors import (
 )
 from .inverse import (
     InverseSolution,
+    invert,
     invert_generic,
     invert_thomas,
     invert_unbranched,

@@ -2,10 +2,10 @@
 
 Subcommands cover the whole workflow: forward computation of survival
 parameters (``direct``), event simulation (``simulate``), trace fitting
-(``fit``), rate recovery (``invert``), variant enumeration
-(``variants``), the marker discrimination experiment (``experiment``),
-generator checking (``validate``), and the end-to-end
-simulate-fit-variants ``pipeline``.
+(``fit``), rate recovery (``invert``), variant enumeration (``variants``),
+the marker discrimination experiment (``experiment``), generator checking
+(``validate``), and the end-to-end ``pipeline``, which simulates, fits,
+and inverts the fit (with its variants when it has three components).
 
 Every JSON artifact embeds a run manifest (tool version, argv, seeds,
 input checksums, wall time) and is checked against the schemas shipped
@@ -118,23 +118,20 @@ def _parse_floats(text: str) -> np.ndarray:
         raise PhasekitError(f"cannot parse number list {text!r}") from exc
 
 
-def _params_from_args(args) -> direct.PhaseTypeParams:
-    if getattr(args, "moments", None) or args.lam is None or args.A is None:
+def _input_from_args(args):
+    """The --moments of a command, else its --lambda and --A."""
+    if args.moments:
+        vals = _parse_floats(args.moments)
+        if vals.size != 5:
+            raise PhasekitError("--moments expects L1,L2,L3,S1,S2")
+        return direct.SymmetricMoments(L=tuple(vals[:3]), S=tuple(vals[3:]))
+    if args.lam is None or args.A is None:
         raise PhasekitError("this command needs --lambda and --A")
     lam = _parse_floats(args.lam)
     amps = _parse_floats(args.A)
     if amps.size == lam.size - 1:
         amps = np.concatenate([amps, [1.0 - amps.sum()]])
     return direct.PhaseTypeParams(lam=tuple(lam), A=tuple(amps))
-
-
-def _moments_from_args(args) -> direct.SymmetricMoments:
-    if getattr(args, "moments", None):
-        vals = _parse_floats(args.moments)
-        if vals.size != 5:
-            raise PhasekitError("--moments expects L1,L2,L3,S1,S2")
-        return direct.SymmetricMoments(L=tuple(vals[:3]), S=tuple(vals[3:]))
-    return direct.moments(_params_from_args(args))
 
 
 def _solution_dict(sol: inverse.InverseSolution) -> dict:
@@ -205,24 +202,14 @@ def _cmd_fit(args, manifest: _Manifest) -> int:
 
 def _cmd_invert(args, manifest: _Manifest) -> int:
     model = models.model_from_string(args.model)
-    if model.tag == "chain":
-        p = _params_from_args(args)
-        sols = [inverse.invert_unbranched(model.n, p)]
-    else:
-        m = _moments_from_args(args)
-        grid = tuple(_parse_floats(args.k3_grid or ""))
-        found, missed = inverse.candidates(
-            m, (model,), grid or simple_systems.FREE_GRID)
-        if missed:
-            raise missed[model]
-        sols = inverse.make_solutions(m, found)
-        payload_m = {"L": list(m.L), "S": list(m.S)}
-    payload = {
-        "model": str(model),
-        "solutions": [_solution_dict(s) for s in sols],
-    }
+    data = _input_from_args(args)
+    grid = tuple(_parse_floats(args.k3_grid or ""))
+    sols = inverse.invert(model, data, grid or simple_systems.FREE_GRID)
+    payload = {"model": str(model),
+               "solutions": [_solution_dict(s) for s in sols]}
     if model.tag != "chain":
-        payload["moments"] = payload_m
+        m = data if args.moments else direct.moments(data)
+        payload["moments"] = {"L": list(m.L), "S": list(m.S)}
     _emit_json(payload, "solutions.schema.json", manifest, args.out)
     return 0
 
@@ -252,10 +239,9 @@ def _variant_payload(report: rashomon.VariantReport) -> dict:
 
 
 def _cmd_variants(args, manifest: _Manifest) -> int:
+    p = _input_from_args(args)
     if args.moments:
-        p = direct.params_from_moments(_moments_from_args(args))
-    else:
-        p = _params_from_args(args)
+        p = direct.params_from_moments(p)
     report = rashomon.enumerate_variants(p)
     if report.n_valid == 0:
         raise NoBranchMatches(
@@ -328,42 +314,32 @@ def _cmd_pipeline(args, manifest: _Manifest) -> int:
     trace = stochastic.simulate_events(gen, args.n, args.seed)
     truth = direct.phase_type_params(gen)
     fit = stochastic.fit_multiexp(trace, gen.N, config)
-    report = rashomon.enumerate_variants(fit.params)
-    solvable = model in models.SOLVABLE_N3 or model.tag == "chain"
-    # The generating model's own solutions: the chain inverse, or its
-    # valid variants (none for M3, which enumerate_variants skips).
-    if model.tag == "chain":
-        try:
-            own = [inverse.invert_unbranched(model.n, fit.params)]
-        except NoSolution:
-            own = []
-    else:
+    report = rashomon.enumerate_variants(fit.params) if gen.N == 3 else None
+    # The generating model's own solutions: its valid variants, which the
+    # report has inverted already, or else its inverse, where M3 takes the
+    # looser band --m3-tol, as fitted moments land only near its family.
+    if model in models.SOLVABLE_N3:
         own = [i.solution for i in report.instances
                if i.valid and i.solution.model == model]
+    else:
+        try:
+            own = inverse.invert(model, fit.params,
+                                 hypersurface_tol=args.m3_tol)
+        except NoSolution:
+            own = []
+    # The M3 family sweeps a free rate: it is reported, not scored.
+    family = [_solution_dict(s) for s in own] if model == models.M3 else None
     errs = [float(np.max(np.abs(s.rates - rates) / np.abs(rates)))
-            for s in own]
+            for s in own if family is None]
     ground_truth = {
         "rates": list(rates),
         "best_match_model": str(model) if errs else None,
         "best_match_rel_err": min(errs, default=None),
     }
-    family = None
-    if model.tag == "M3":
-        # The one-parameter family exists only on a moment hypersurface;
-        # fitted moments land near it, so loosen only that test.
-        try:
-            fam = inverse.invert_generic(
-                model,
-                direct.moments(fit.params),
-                hypersurface_tol=args.m3_tol,
-            )
-            family = [_solution_dict(s) for s in fam]
-        except NoSolution:
-            family = []
     payload = {
         "model": str(model),
         "rates": list(rates),
-        "solvable": solvable,
+        "solvable": model in models.SOLVABLE_N3 or model.tag == "chain",
         "m3_family": family,
         "trace_stats": {
             "n": len(trace),
@@ -376,7 +352,7 @@ def _cmd_pipeline(args, manifest: _Manifest) -> int:
             "log_likelihood": fit.log_likelihood,
             "converged": fit.converged,
         },
-        "variants": _variant_payload(report),
+        "variants": None if report is None else _variant_payload(report),
         "ground_truth": ground_truth,
     }
     _emit_json(payload, "pipeline_report.schema.json", manifest, args.out)
@@ -452,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_rates(p)
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("pipeline", help="simulate, fit, and enumerate variants")
+    p = sub.add_parser("pipeline", help="simulate, fit, and invert")
     add_model_rates(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

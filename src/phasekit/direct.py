@@ -17,7 +17,8 @@ from decimal import Decimal
 import numpy as np
 
 from . import models
-from .errors import DegenerateSpectrum, NonErgodic, SingularSteadyState
+from .errors import (DegenerateSpectrum, NonErgodic, PhasekitError,
+                     SingularSteadyState)
 from .models import Generator, validate
 
 #: Relative eigenvalue separation below which the spectrum is treated as
@@ -132,12 +133,12 @@ def _arc_layout(batch: tuple) -> tuple[int, tuple, np.ndarray]:
     index of its rate in every column, or one past the last rate (a zero
     row of the batch) where the column's model lacks the arc.  Each model
     has at most one arc per pair of states."""
+    if not batch or any(model.n != batch[0].n for model in batch):
+        raise PhasekitError("a batch needs one or more models of one N")
     rate_of = {model: {(src - 1, dst - 1): idx - 1
                        for src, dst, idx in models.arc_list(model)}
                for model in batch}
     n = batch[0].n
-    if any(model.n != n for model in rate_of):
-        raise ValueError("a batch needs models with the same N")
     arcs = tuple(sorted(set().union(*rate_of.values())))
     index = np.array([[rate_of[model].get(arc, model.n_rates)
                        for model in batch] for arc in arcs])

@@ -16,9 +16,11 @@ The first two also give their candidates unrefined
 generic branch where it applies and the Thomas search elsewhere, for
 many models from one call of ``generic_branches``, and
 ``make_solutions`` Newton-refines the candidates of one input, whatever
-their models, in one batch.  Every returned solution carries a forward
-round-trip residual; that residual, not the solver algebra, is the
-acceptance oracle.
+their models, in one batch.  ``invert`` is the one entry that chooses a
+solver for any solvable model: the chain recurrence for a chain, and
+``candidates`` then ``make_solutions`` for a catalog model.  Every
+returned solution carries a forward round-trip residual; that residual,
+not the solver algebra, is the acceptance oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from . import direct, models, simple_systems
 from .direct import PhaseTypeParams, SymmetricMoments
 from .errors import (GenericBranchMiss, M3HypersurfaceMiss,
                      NegativeDiscriminant, NoBranchMatches, NoSolution,
-                     WrongArity, ZeroPivot)
+                     PhasekitError, WrongArity, ZeroPivot)
 
 _EPS = np.finfo(float).eps
 #: Band of the generic-branch inequations, as a fraction of the sum of the
@@ -439,18 +441,20 @@ def thomas_candidates(model: models.ModelId,
 
 
 def candidates(m: SymmetricMoments, wanted=models.SOLVABLE_N3,
-               k3_grid=simple_systems.FREE_GRID):
+               k3_grid=simple_systems.FREE_GRID,
+               hypersurface_tol: float = simple_systems.TOL):
     """The unpolished solutions of the models ``wanted``: the generic
     branch's (one :func:`generic_branches` call for all; the M3 family
-    over ``k3_grid``), else the Thomas search's; and a dict of the Thomas
-    NoSolution, "<generic error>; <Thomas error>", of each model that
-    neither solves."""
+    over ``k3_grid`` within ``hypersurface_tol``), else the Thomas
+    search's; and a dict of the Thomas NoSolution, "<generic error>;
+    <Thomas error>", of each model that neither solves."""
     generic = [model for model in wanted if model != models.M3]
     closed = generic_branches(m, generic) if generic else {}
     found, missed = [], {}
     for model in wanted:
         try:
-            found += generic_candidates(model, m, k3_grid, closed=closed)
+            found += generic_candidates(model, m, k3_grid, hypersurface_tol,
+                                        closed)
         except NoSolution as generic_miss:
             try:
                 found += thomas_candidates(model, m)
@@ -458,6 +462,24 @@ def candidates(m: SymmetricMoments, wanted=models.SOLVABLE_N3,
                 exc.args = (f"{generic_miss}; {exc}",)
                 missed[model] = exc
     return found, missed
+
+
+def invert(model: models.ModelId, data, k3_grid=simple_systems.FREE_GRID,
+           hypersurface_tol=simple_systems.TOL) -> list[InverseSolution]:
+    """The polished solutions of any solvable model for ``data``, its
+    (lambda, A) or, for a catalog model, its moments.  A chain takes
+    :func:`invert_unbranched`, a catalog model :func:`candidates` (M3 with
+    ``k3_grid`` and ``hypersurface_tol``, as :func:`invert_generic`), and
+    a model that neither search solves raises that NoSolution."""
+    if model.tag == "chain":
+        if not isinstance(data, PhaseTypeParams):
+            raise PhasekitError(f"{model} inverts from (lambda, A) only")
+        return [invert_unbranched(model.n, data)]
+    m = data if isinstance(data, SymmetricMoments) else direct.moments(data)
+    found, missed = candidates(m, (model,), k3_grid, hypersurface_tol)
+    if missed:
+        raise missed[model]
+    return make_solutions(m, found)
 
 
 def _stieltjes_tridiagonal(lam: np.ndarray,

@@ -216,6 +216,10 @@ class TestVariantsExperiment:
         assert sum(1 for i in doc["instances"] if i["valid"]) >= 4
         assert doc["deltas"]["p3"] < 1e-8
 
+    def test_variants_need_three_components(self, capsys):
+        assert run(["variants", "--lambda=-1,-2", "--A=0.5,0.5"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "WrongArity"
+
     def test_variants_from_moments(self, tmp_path):
         out = tmp_path / "var.json"
         assert run(["variants", "--moments=-15,27,-10,-5,60",
@@ -298,11 +302,23 @@ class TestPipeline:
         assert truth["best_match_model"] == "chain3"
         assert 0.0 <= truth["best_match_rel_err"] < 1.0
 
-    def test_chain2_pipeline_is_typed_error(self, capsys):
-        # The generic three-state formulas need three fitted components.
-        assert run(["pipeline", "--model", "chain2", "--rates", "1,2,3",
-                    "--n", 2000, "--seed", 1, "--restarts", 2]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "WrongArity"
+    @pytest.mark.parametrize("model", ["chain2", "chain4"])
+    def test_chain_pipeline_has_no_variants(self, tmp_path, model):
+        # Variants exist for three fitted components only; the chain is
+        # inverted all the same, and chain4 at seed 1 meets a ZeroPivot.
+        n = int(model[5:])
+        out = tmp_path / "pipe.json"
+        assert run(["pipeline", "--model", model, "--rates",
+                    ",".join(map(str, range(1, 2 * n))),
+                    "--n", 2000, "--seed", 1, "--out", out]) == 0
+        doc = load(out)
+        assert doc["variants"] is None
+        truth = doc["ground_truth"]
+        assert truth["best_match_model"] in (model, None)
+        if truth["best_match_model"] is None:
+            assert truth["best_match_rel_err"] is None
+        else:
+            assert np.isfinite(truth["best_match_rel_err"])
 
     def test_m3_pipeline_family(self, tmp_path):
         out = tmp_path / "pipe3.json"

@@ -15,7 +15,7 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from phasekit import direct, inverse, models
-from phasekit.errors import DegenerateSpectrum, NonErgodic
+from phasekit.errors import DegenerateSpectrum, NonErgodic, PhasekitError
 
 import mp_reference
 from mp_reference import mp_moments, mp_phase_type_params, rel_error_eps
@@ -347,6 +347,16 @@ class TestBatchedForwardMap:
         np.testing.assert_array_equal(want[:, 0], [-3.0, 2.0, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(
             got[:, 1:], np.array(direct.moment_vector(batch[1:], k[:, 1:])))
+
+    @pytest.mark.parametrize("batch, k", [
+        ([], np.empty((5, 0, 1))),
+        ([models.M9, models.unbranched_chain(2)], np.ones((5, 2))),
+    ], ids=["empty", "mixed-N"])
+    @pytest.mark.parametrize("fn", [direct.moment_vector,
+                                    direct.no_exit_markers])
+    def test_batch_without_one_N_is_typed_error(self, fn, batch, k):
+        with pytest.raises(PhasekitError, match="one or more models of one"):
+            fn(batch, k)
 
     def test_caller_rates_unmodified(self):
         rng = np.random.default_rng(3)

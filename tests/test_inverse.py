@@ -14,6 +14,7 @@ from phasekit.errors import (
     NegativeDiscriminant,
     NoBranchMatches,
     NoSolution,
+    PhasekitError,
     ZeroPivot,
 )
 
@@ -237,6 +238,60 @@ class TestCandidates:
         _, missed = inverse.candidates(m, (model,))
         with pytest.raises(NoBranchMatches, match="no real solution"):
             raise missed[model]
+
+
+#: Lumpable M9 (k1 = k2): the generic discriminant is zero, so its
+#: solutions come from the Thomas search.
+LUMPABLE_M9 = [0.23748954533683428, 0.23748954533683428, 11.467584218175574,
+               75.86419643542978, 0.019443050680591042]
+
+
+def _invert_case(name):
+    """(model, data, keywords, the solutions of the route that ``phasekit
+    invert`` and ``pipeline`` took before :func:`inverse.invert`, or the
+    error it raised) of a case of the test below."""
+    if name == "M3-loose":
+        # Moments 1e-6 off the M3 hypersurface: the default band rejects
+        # them, the band of 0.2 takes them.
+        _, m = forward_moments("M3", [1.0, 2.0, 3.0, 4.0, 5.0])
+        m = direct.SymmetricMoments(L=m.L, S=(m.S[0], m.S[1] * (1.0 + 1e-6)))
+        return models.M3, m, {"hypersurface_tol": 0.2}, (
+            lambda: inverse.invert_generic(models.M3, m,
+                                           hypersurface_tol=0.2))
+    if name == "M9-lumpable":
+        p = direct.phase_type_params(models.build_generator(
+            models.M9, np.array(LUMPABLE_M9)))
+        return models.M9, p, {}, (
+            lambda: inverse.invert_thomas(models.M9, direct.moments(p)))
+    model = models.model_from_string(name.removesuffix("-moments"))
+    p = direct.phase_type_params(models.build_generator(
+        model, np.arange(1.0, 2.0 * model.n)))
+    if name.endswith("-moments"):
+        return model, direct.moments(p), {}, PhasekitError
+    return model, p, {}, lambda: [inverse.invert_unbranched(model.n, p)]
+
+
+@pytest.mark.parametrize("name", [*(f"chain{n}" for n in range(2, 9)),
+                                  "M3-loose", "M9-lumpable", "chain3-moments"])
+def test_invert_takes_the_route_it_replaces(name):
+    model, data, keywords, old = _invert_case(name)
+    if old is PhasekitError:
+        with pytest.raises(PhasekitError, match=r"\(lambda, A\) only"):
+            inverse.invert(model, data, **keywords)
+        return
+
+    def bits(sols):
+        return [(s.model, s.branch, s.free_params, s.rates.tobytes(),
+                 s.residual.hex()) for s in sols]
+
+    got = inverse.invert(model, data, **keywords)
+    assert got and bits(got) == bits(old())
+    if model.tag == "chain":
+        np.testing.assert_allclose(got[0].rates,
+                                   np.arange(1.0, 2.0 * model.n), rtol=1e-6)
+    else:
+        assert {s.branch for s in got} == {"M3-loose": {"family"},
+                                           "M9-lumpable": {"S4/0000"}}[name]
 
 
 class TestUnbranchedChain:
