@@ -8,9 +8,12 @@ the marker discrimination experiment (``experiment``), generator checking
 and inverts the fit (with its variants when it has three components).
 
 Every JSON artifact embeds a run manifest (tool version, argv, seeds,
-input checksums, wall time) and is checked against the schemas shipped
-with the package before being written.  Exit codes: 0 success, 2 domain
-or input errors, 3 no solution found (``errors.NoSolution``).
+input checksums, wall time) and is strict JSON: a number that is not
+finite is an error, not a ``NaN`` token.  The schemas shipped with the
+package document each artifact's format; the tests check every artifact
+against them, and the CLI only serializes.  Exit codes: 0 success, 2
+domain or input errors (a non-finite input number included), 3 no
+solution found (``errors.NoSolution``).
 """
 
 from __future__ import annotations
@@ -21,30 +24,29 @@ import hashlib
 import json
 import sys
 import time
-from importlib import resources
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from . import direct, inverse, models, rashomon, simple_systems, stochastic
 from .errors import NoBranchMatches, NoSolution, PhasekitError
 
 
-def _plain(obj):
-    """A JSON tree with numpy numbers and arrays as Python numbers and
-    lists, and tuples as lists."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    return obj
+def _json_default(obj):
+    """numpy arrays and scalars as Python lists and numbers, for
+    :func:`json.dumps`; ``np.float64`` is a ``float`` and never gets here."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(obj) -> str:
+    """``obj`` as indented, strict JSON text."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False,
+                          default=_json_default)
+    except ValueError as exc:
+        raise PhasekitError(f"the result is not JSON: {exc}") from exc
 
 
 def _sha256(path: str) -> str:
@@ -80,30 +82,8 @@ class _Manifest:
         }
 
 
-@functools.lru_cache(maxsize=None)
-def _validator(name: str):
-    """The validator of a shipped schema, checked once per process."""
-    schema = json.loads(
-        (resources.files("phasekit") / "schemas" / name).read_text()
-    )
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
-def _emit_json(payload: dict, schema_name: str, manifest: _Manifest,
-               out: str | None) -> None:
-    payload = dict(payload)
-    payload["manifest"] = manifest.as_dict()
-    payload = _plain(payload)
-    # The error jsonschema.validate would raise, without re-checking the
-    # schema document on every report.
-    error = jsonschema.exceptions.best_match(
-        _validator(schema_name).iter_errors(payload)
-    )
-    if error is not None:
-        raise error
-    text = json.dumps(payload, indent=2)
+def _emit_json(payload: dict, manifest: _Manifest, out: str | None) -> None:
+    text = _dumps({**payload, "manifest": manifest.as_dict()})
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -113,9 +93,13 @@ def _emit_json(payload: dict, schema_name: str, manifest: _Manifest,
 
 def _parse_floats(text: str) -> np.ndarray:
     try:
-        return np.array([float(x) for x in text.split(",") if x.strip()])
+        vals = np.array([float(x) for x in text.split(",") if x.strip()])
     except ValueError as exc:
         raise PhasekitError(f"cannot parse number list {text!r}") from exc
+    if not np.all(np.isfinite(vals)):
+        raise PhasekitError(f"number list {text!r} holds a value that is "
+                            f"not finite")
+    return vals
 
 
 def _input_from_args(args):
@@ -158,7 +142,7 @@ def _cmd_direct(args, manifest: _Manifest) -> int:
         "A": list(p.A),
         "moments": {"L": list(m.L), "S": list(m.S)},
     }
-    _emit_json(payload, "phase_type_params.schema.json", manifest, args.out)
+    _emit_json(payload, manifest, args.out)
     if args.survival_csv:
         ts = np.linspace(0.0, args.t_max, args.t_points)
         vals = direct.survival(p, ts)
@@ -177,8 +161,7 @@ def _cmd_simulate(args, manifest: _Manifest) -> int:
     trace = stochastic.simulate_events(gen, args.n, args.seed)
     stochastic.write_trace_csv(trace, args.out)
     with open(args.out + ".manifest.json", "w") as fh:
-        json.dump(_plain(manifest.as_dict()), fh, indent=2)
-        fh.write("\n")
+        fh.write(_dumps(manifest.as_dict()) + "\n")
     return 0
 
 
@@ -196,7 +179,7 @@ def _cmd_fit(args, manifest: _Manifest) -> int:
         "n_restarts_used": result.n_restarts_used,
         "n_gaps": len(trace),
     }
-    _emit_json(payload, "fit_result.schema.json", manifest, args.out)
+    _emit_json(payload, manifest, args.out)
     return 0
 
 
@@ -204,13 +187,15 @@ def _cmd_invert(args, manifest: _Manifest) -> int:
     model = models.model_from_string(args.model)
     data = _input_from_args(args)
     grid = tuple(_parse_floats(args.k3_grid or ""))
+    if not all(k3 > 0.0 for k3 in grid):
+        raise PhasekitError("--k3-grid takes positive rates only")
     sols = inverse.invert(model, data, grid or simple_systems.FREE_GRID)
     payload = {"model": str(model),
                "solutions": [_solution_dict(s) for s in sols]}
     if model.tag != "chain":
         m = data if args.moments else direct.moments(data)
         payload["moments"] = {"L": list(m.L), "S": list(m.S)}
-    _emit_json(payload, "solutions.schema.json", manifest, args.out)
+    _emit_json(payload, manifest, args.out)
     return 0
 
 
@@ -239,17 +224,13 @@ def _variant_payload(report: rashomon.VariantReport) -> dict:
 
 
 def _cmd_variants(args, manifest: _Manifest) -> int:
-    p = _input_from_args(args)
-    if args.moments:
-        p = direct.params_from_moments(p)
-    report = rashomon.enumerate_variants(p)
+    report = rashomon.enumerate_variants(_input_from_args(args))
     if report.n_valid == 0:
         raise NoBranchMatches(
             "no model in the catalog explains these inputs with positive rates",
             diagnostics=report.diagnostics,
         )
-    _emit_json(_variant_payload(report), "variant_report.schema.json",
-               manifest, args.out)
+    _emit_json(_variant_payload(report), manifest, args.out)
     return 0
 
 
@@ -273,7 +254,7 @@ def _cmd_experiment(args, manifest: _Manifest) -> int:
             for name, h in report.histograms.items()
         },
     }
-    _emit_json(payload, "experiment_report.schema.json", manifest, args.out)
+    _emit_json(payload, manifest, args.out)
     if args.hist_prefix:
         for name, h in report.histograms.items():
             path = f"{args.hist_prefix}_{name}.csv"
@@ -355,7 +336,7 @@ def _cmd_pipeline(args, manifest: _Manifest) -> int:
         "variants": None if report is None else _variant_payload(report),
         "ground_truth": ground_truth,
     }
-    _emit_json(payload, "pipeline_report.schema.json", manifest, args.out)
+    _emit_json(payload, manifest, args.out)
     return 0
 
 

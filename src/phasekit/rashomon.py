@@ -159,9 +159,10 @@ def _variant_markers(groups):
     return each, (top - low)[:, kept], top[:, kept]
 
 
-def enumerate_variants(p: PhaseTypeParams) -> VariantReport:
-    """Invert the input under every model of ``models.SOLVABLE_N3`` and
-    attach markers.
+def enumerate_variants(data: PhaseTypeParams | SymmetricMoments
+                       ) -> VariantReport:
+    """Invert the input, (lambda, A) or its moments, under every model of
+    ``models.SOLVABLE_N3`` and attach markers.
 
     The candidate solutions of all models (:func:`inverse.candidates`)
     are polished together in one batch.  :func:`_variant_markers` applies
@@ -174,7 +175,7 @@ def enumerate_variants(p: PhaseTypeParams) -> VariantReport:
     markers, for inspection.  ``diagnostics`` notes the models that
     neither the generic closed forms nor the Thomas search could invert.
     """
-    m = direct.moments(p)
+    m = data if isinstance(data, SymmetricMoments) else direct.moments(data)
     candidates, missed = inverse.candidates(m)
     diagnostics = {str(model): str(exc) for model, exc in missed.items()}
     sols = inverse.make_solutions(m, candidates)

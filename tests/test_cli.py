@@ -1,17 +1,84 @@
-"""Command-line interface tests (run in-process through main)."""
+"""Command-line interface tests (run in-process through main).
 
+The CLI only serializes.  Every command these tests run goes through
+:func:`run`, which checks the JSON artifact of each successful command
+against the schema of its subcommand, as shipped with the package.
+"""
+
+import contextlib
+import functools
+import io
 import json
+import os
+import subprocess
+import sys
+from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
-from phasekit import cli, direct, inverse, models
+from phasekit import cli, direct, inverse, models, rashomon
 from phasekit.cli import main
+
+#: The shipped schema of each subcommand that writes a JSON artifact
+#: (``simulate`` writes CSV and ``validate`` plain text).
+SCHEMAS = {
+    "direct": "phase_type_params.schema.json",
+    "fit": "fit_result.schema.json",
+    "invert": "solutions.schema.json",
+    "variants": "variant_report.schema.json",
+    "experiment": "experiment_report.schema.json",
+    "pipeline": "pipeline_report.schema.json",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def validator(command):
+    """The validator of ``command``'s schema, itself checked once."""
+    schema = json.loads(
+        (resources.files("phasekit") / "schemas" / SCHEMAS[command])
+        .read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _not_json(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def check_artifact(command, text):
+    """The document ``text``, after checking that it is strict JSON (no
+    NaN or Infinity) and valid under ``command``'s schema."""
+    doc = json.loads(text, parse_constant=_not_json)
+    validator(command).validate(doc)
+    return doc
+
+
+def _out_path(args):
+    return args[args.index("--out") + 1] if "--out" in args else None
 
 
 def run(args):
-    return main([str(a) for a in args])
+    """``main(args)``, whose JSON artifact, when it exits 0, is read back
+    from the exact text written (its --out file, or stdout) and checked.
+    Stdout still reaches the caller, for ``capsys``."""
+    args = [str(a) for a in args]
+    stdout = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout):
+            rc = main(args)
+    finally:
+        sys.stdout.write(stdout.getvalue())
+    if rc == 0 and args[0] in SCHEMAS:
+        path = _out_path(args)
+        if path is None:
+            check_artifact(args[0], stdout.getvalue())
+        else:
+            with open(path) as fh:
+                check_artifact(args[0], fh.read())
+    return rc
 
 
 def load(path):
@@ -172,6 +239,51 @@ class TestExitCodes:
         assert err["error"] == "PhasekitError"
         assert "--lambda and --A" in err["message"]
 
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["direct", "--model", "M9", "--rates", "nan,2,3,4,5"],
+                     "not finite", id="rates-nan"),
+        pytest.param(["pipeline", "--model", "M9", "--rates", "1,2,inf,4,5",
+                      "--n", 1000], "not finite", id="pipeline-rates-inf"),
+        pytest.param(["invert", "--model", "M9", "--lambda=nan,-2,-3",
+                      "--A", "0.2,0.3"], "not finite", id="lambda-nan"),
+        pytest.param(["invert", "--model", "M9", "--lambda=-1,-2,-3",
+                      "--A", "0.2,-inf"], "not finite", id="A-inf"),
+        pytest.param(["variants", "--moments=-15,27,-10,-5,inf"],
+                     "not finite", id="moments-inf"),
+        pytest.param(["invert", "--model", "M3", "--moments=-15,60,-30,-5,45",
+                      "--k3-grid", "1,nan"], "not finite", id="k3-grid-nan"),
+        pytest.param(["invert", "--model", "M3", "--moments=-15,60,-30,-5,45",
+                      "--k3-grid", "0,1"], "positive", id="k3-grid-zero"),
+        pytest.param(["invert", "--model", "M3", "--moments=-15,60,-30,-5,45",
+                      "--k3-grid", "1,-0.5"], "positive",
+                     id="k3-grid-negative"),
+    ])
+    def test_invalid_number_is_exit_2(self, args, message, capsys):
+        # A nan decay rate used to give all-nan "solutions", and k3 = 0
+        # -Infinity and NaN rates, both with exit 0; an infinite rate
+        # kept pipeline running for minutes.
+        assert run(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PhasekitError"
+        assert message in err["message"]
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(["invert", "--model", "M9",
+                      "--moments=-1e103,1e205,-1e307,-1e102,1e205"],
+                     id="M9-huge-moments"),
+        pytest.param(["invert", "--model", "M3", "--moments=-15,60,-30,-5,45",
+                      "--k3-grid", "1e300"], id="M3-huge-k3"),
+    ])
+    def test_non_finite_result_is_exit_2(self, args, tmp_path, capsys):
+        # Finite inputs whose solutions overflow: the artifact would hold
+        # NaN or Infinity, which is not JSON, so nothing is written.
+        out = tmp_path / "sols.json"
+        with np.errstate(all="ignore"):
+            assert run([*args, "--out", out]) == 2
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            "PhasekitError")
+
     def test_missing_file_is_exit_2(self, tmp_path):
         assert run(["fit", "--trace", tmp_path / "nope.csv",
                     "--components", 2]) == 2
@@ -225,6 +337,26 @@ class TestVariantsExperiment:
         assert run(["variants", "--moments=-15,27,-10,-5,60",
                     "--out", out]) == 0
         assert load(out)["instances"]
+
+    def test_variants_invert_the_moments_given(self, tmp_path):
+        # Each instance is the model's own inverse of these moments, bit
+        # for bit; a round trip through (lambda, A) would move them first.
+        k = 10 ** np.random.default_rng(5).uniform(-2, 2, 5)
+        m = direct.moments(direct.phase_type_params(
+            models.build_generator(models.M9, k)))
+        out = tmp_path / "var.json"
+        assert run(["variants", "--moments=" + ",".join(
+            repr(float(x)) for x in (*m.L, *m.S)), "--out", out]) == 0
+        instances = load(out)["instances"]
+        assert instances
+        for inst in instances:
+            [want] = [s for s in inverse.invert(
+                models.model_from_string(inst["model"]), m)
+                if s.branch == inst["branch"]]
+            assert inst["rates"] == want.rates.tolist()
+        assert [i["rates"] for i in instances] == [
+            i.solution.rates.tolist()
+            for i in rashomon.enumerate_variants(m).instances]
 
     def test_experiment_small(self, tmp_path):
         out = tmp_path / "exp.json"
@@ -288,11 +420,9 @@ class TestPipeline:
                     "--n", 1000, "--seed", 3, "--restarts", 2,
                     "--out", out]) == 0
         payload = load(out)
-        del payload["manifest"], payload["variants"]
+        del payload["variants"]
         with pytest.raises(jsonschema.ValidationError, match="'variants'"):
-            cli._emit_json(payload, "pipeline_report.schema.json",
-                           cli._Manifest([]), str(tmp_path / "bad.json"))
-        assert not (tmp_path / "bad.json").exists()
+            check_artifact("pipeline", json.dumps(payload))
 
     def test_chain_pipeline_inverts_the_chain(self, tmp_path):
         out = tmp_path / "pipe.json"
@@ -340,3 +470,25 @@ def test_parser_is_built_once(capsys):
         reports.append(doc)
     assert cli.build_parser.cache_info().misses == 1
     assert reports[0] == reports[1]
+
+
+def test_every_shipped_schema_is_checked():
+    shipped = {f.name for f in (resources.files("phasekit") / "schemas")
+               .iterdir() if f.name.endswith(".schema.json")}
+    assert shipped == set(SCHEMAS.values())
+
+
+def test_import_leaves_jsonschema_unloaded():
+    # The schemas are checked in the tests; the program only serializes.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sys\n"
+         "from phasekit import cli\n"
+         "print('jsonschema' in sys.modules)\n"
+         "cli.main(['direct', '--model', 'M9', '--rates', '1,2,3,4,5',\n"
+         "          '--out', os.devnull])\n"
+         "print('jsonschema' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["False"] * 2
