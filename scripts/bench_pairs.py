@@ -62,6 +62,28 @@ def export(commit: str, dest: Path) -> None:
         raise subprocess.CalledProcessError(archive.returncode, archive.args)
 
 
+def start_worker(tree: Path, script: str) -> subprocess.Popen:
+    """``script --worker`` as a process that imports phasekit from
+    ``tree`` with BLAS on one thread, and talks in JSON lines (:func:`ask`)."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    return subprocess.Popen(
+        [sys.executable, str(Path(script).resolve()), "--worker"],
+        cwd=tree, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        text=True)
+
+
+def ask(proc: subprocess.Popen, spec: dict) -> dict:
+    """The worker's answer to ``spec``, one JSON line each way."""
+    proc.stdin.write(json.dumps(spec) + "\n")
+    proc.stdin.flush()
+    line = proc.stdout.readline()
+    if not line:
+        raise RuntimeError("a worker exited early")
+    return json.loads(line)
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The JSON summary of one untraced perfbench run in ``tree``."""
     out = subprocess.run(

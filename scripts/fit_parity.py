@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 import tempfile
 import time
@@ -39,7 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
-from bench_pairs import export  # noqa: E402
+from bench_pairs import ask, export, git, start_worker  # noqa: E402
 
 #: Relative log-likelihood difference below which two fits count as equal.
 EQUAL_REL = 1e-9
@@ -72,25 +70,6 @@ def worker() -> None:
         print(json.dumps(fit(json.loads(line))), flush=True)
 
 
-def start_worker(tree: Path) -> subprocess.Popen:
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"),
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
-    return subprocess.Popen(
-        [sys.executable, str(Path(__file__).resolve()), "--worker"],
-        cwd=tree, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-        text=True)
-
-
-def ask(proc: subprocess.Popen, spec: dict) -> dict:
-    proc.stdin.write(json.dumps(spec) + "\n")
-    proc.stdin.flush()
-    line = proc.stdout.readline()
-    if not line:
-        raise RuntimeError("a fit worker exited early")
-    return json.loads(line)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="commit to compare against")
@@ -118,9 +97,7 @@ def main(argv=None) -> int:
                               "seed": item.extra["sim_seed"]})
     specs.append(CRITERION_9)
 
-    base_sha = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT,
-                              check=True, capture_output=True,
-                              text=True).stdout.strip()
+    base_sha = git("rev-parse", args.base)
     sides = ("base", "change")
     counts = dict.fromkeys(("higher", "equal", "lower"), 0)
     worst_drop = 0.0
@@ -130,8 +107,8 @@ def main(argv=None) -> int:
     criterion_9 = None
     with tempfile.TemporaryDirectory() as tmp:
         export(base_sha, Path(tmp) / "base")
-        procs = {"base": start_worker(Path(tmp) / "base"),
-                 "change": start_worker(ROOT)}
+        procs = {"base": start_worker(Path(tmp) / "base", __file__),
+                 "change": start_worker(ROOT, __file__)}
         try:
             for i, spec in enumerate(specs):
                 got = {}

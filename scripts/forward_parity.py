@@ -28,11 +28,10 @@ own tree.  Five input sets, all drawn or listed here:
 Both sides run ``phase_type_params`` on every chain and ``variants``
 input, then ``invert_unbranched`` on a chain and ``enumerate_variants``
 on a ``variants`` input.  On a block of draws they run
-``inverse.generic_branches`` for every model of ``models.SOLVABLE_N3``,
-through whichever signature their own tree has (one model per call, or
-every model from one call), and answer with a SHA-256 digest of the
-bytes of each branch's rates and mask, in the same order either way, so
-the comparison is bit for bit without sending the arrays.  A command of
+``inverse.generic_branches``, which serves every model of
+``models.SOLVABLE_N3`` from one call, and answer with a SHA-256 digest
+of the bytes of each branch's rates and mask, so the comparison is bit
+for bit without sending the arrays.  A command of
 the ``pipeline`` set runs through ``cli.main`` in the worker, which
 answers with its exit code and its JSON payload without ``manifest``, or
 the JSON error it printed.  An
@@ -52,8 +51,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -62,7 +59,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
-from bench_pairs import export  # noqa: E402
+from bench_pairs import ask, export, git, start_worker  # noqa: E402
 
 #: Rounds of each perfbench workload drawn from each of its seeds.
 CHAIN_ROUNDS = {1: 60, 2: 60, 3: 60}
@@ -122,7 +119,6 @@ def worker() -> None:
     """Answer the inputs named on stdin, one JSON line in and out each."""
     import contextlib
     import hashlib
-    import inspect
     import io
 
     from phasekit import cli, direct, inverse, models, rashomon
@@ -137,16 +133,10 @@ def worker() -> None:
     def branches(seed: int) -> dict:
         m = rashomon._draw_moments(np.random.default_rng(seed),
                                    rashomon._BLOCK)
-        if "tag" in inspect.signature(inverse.generic_branches).parameters:
-            # One model per call, as ([(rates, ok), ...], checks).
-            each = {model: inverse.generic_branches(model.tag, m)[0]
-                    for model in models.SOLVABLE_N3}
-        else:
-            # Every model from one call, as {model: (k, ok, checks)} with
-            # k (5, branches, batch) and ok (branches, batch).
-            each = {model: [(k[:, j], ok[j]) for j in range(k.shape[1])]
-                    for model, (k, ok, _) in
-                    inverse.generic_branches(m).items()}
+        # Every model from one call, as {model: (k, ok, checks)} with
+        # k (5, branches, batch) and ok (branches, batch).
+        each = {model: [(k[:, j], ok[j]) for j in range(k.shape[1])]
+                for model, (k, ok, _) in inverse.generic_branches(m).items()}
         out = {}
         for model in models.SOLVABLE_N3:
             digest = hashlib.sha256()
@@ -191,25 +181,6 @@ def worker() -> None:
 
     for line in sys.stdin:
         print(json.dumps(answer(json.loads(line))), flush=True)
-
-
-def start_worker(tree: Path) -> subprocess.Popen:
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"),
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
-    return subprocess.Popen(
-        [sys.executable, str(Path(__file__).resolve()), "--worker"],
-        cwd=tree, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-        text=True)
-
-
-def ask(proc: subprocess.Popen, spec: dict) -> dict:
-    proc.stdin.write(json.dumps(spec) + "\n")
-    proc.stdin.flush()
-    line = proc.stdout.readline()
-    if not line:
-        raise RuntimeError("a parity worker exited early")
-    return json.loads(line)
 
 
 def errors(result: dict) -> list:
@@ -282,9 +253,7 @@ def main(argv=None) -> int:
         for model, extra in PIPELINE_MODELS.items() for seed in PIPELINE_SEEDS]
     inputs["pipeline"] += [{"cli": argv} for argv in invert_args()]
 
-    base_sha = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT,
-                              check=True, capture_output=True,
-                              text=True).stdout.strip()
+    base_sha = git("rev-parse", args.base)
     sides = ("base", "change")
     summary = {name: {"inputs": len(items), "equal": 0, "differ": 0,
                       "error_type_changed": 0}
@@ -293,8 +262,8 @@ def main(argv=None) -> int:
     listed = []
     with tempfile.TemporaryDirectory() as tmp:
         export(base_sha, Path(tmp) / "base")
-        procs = {"base": start_worker(Path(tmp) / "base"),
-                 "change": start_worker(ROOT)}
+        procs = {"base": start_worker(Path(tmp) / "base", __file__),
+                 "change": start_worker(ROOT, __file__)}
         try:
             for name, items in inputs.items():
                 for index, item in enumerate(items):

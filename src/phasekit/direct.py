@@ -17,9 +17,8 @@ from decimal import Decimal
 import numpy as np
 
 from . import models
-from .errors import (DegenerateSpectrum, NonErgodic, PhasekitError,
-                     SingularSteadyState)
-from .models import Generator, validate
+from .errors import DegenerateSpectrum, NonErgodic, SingularSteadyState
+from .models import Generator
 
 #: Relative eigenvalue separation below which the spectrum is treated as
 #: degenerate, and relative imaginary-part threshold for realness.
@@ -85,15 +84,18 @@ class Spectrum:
 def spectrum(gen: Generator) -> Spectrum:
     """All eigenvalues of Qtilde.
 
-    Raises DegenerateSpectrum when two eigenvalues are closer than the
-    separation threshold.  A complex (but separated) spectrum is reported
-    via ``is_real_distinct = False`` rather than as an error.
+    Raises DegenerateSpectrum when two eigenvalues are closer than
+    ``TOL_SEP`` times the larger of their moduli, so that eigenvalues far
+    smaller than the rates count as separated by their own scale.  A
+    complex (but separated) spectrum is reported via
+    ``is_real_distinct = False`` rather than as an error.
     """
     vals = np.linalg.eigvals(gen.Qtilde)
     scale = float(np.max(np.abs(vals), initial=1.0))
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
-            if abs(vals[i] - vals[j]) <= TOL_SEP * scale:
+            if abs(vals[i] - vals[j]) <= TOL_SEP * max(abs(vals[i]),
+                                                       abs(vals[j])):
                 raise DegenerateSpectrum(
                     f"eigenvalues {vals[i]} and {vals[j]} are not separated",
                     pair=(vals[i], vals[j]))
@@ -114,7 +116,8 @@ def _flow_table(model, k) -> tuple[list[list], tuple]:
     complex-step differentiation and on many inputs at once.
     """
     single = isinstance(model, models.ModelId)
-    n, arcs, index = _arc_layout((model,) if single else tuple(model))
+    n, arcs, index = models.arc_layout(
+        (model,) if single else tuple(model))
     if single:
         rows = [k[idx] for idx in index[:, 0].tolist()]
     else:
@@ -125,25 +128,6 @@ def _flow_table(model, k) -> tuple[list[list], tuple]:
     for (i, j), row in zip(arcs, rows):
         R[i][j] = row
     return R, arcs
-
-
-@functools.lru_cache(maxsize=256)
-def _arc_layout(batch: tuple) -> tuple[int, tuple, np.ndarray]:
-    """N, the arcs (i, j) of any model of ``batch``, and for each arc the
-    index of its rate in every column, or one past the last rate (a zero
-    row of the batch) where the column's model lacks the arc.  Each model
-    has at most one arc per pair of states."""
-    if not batch or any(model.n != batch[0].n for model in batch):
-        raise PhasekitError("a batch needs one or more models of one N")
-    rate_of = {model: {(src - 1, dst - 1): idx - 1
-                       for src, dst, idx in models.arc_list(model)}
-               for model in batch}
-    n = batch[0].n
-    arcs = tuple(sorted(set().union(*rate_of.values())))
-    index = np.array([[rate_of[model].get(arc, model.n_rates)
-                       for model in batch] for arc in arcs])
-    index.flags.writeable = False  # cached: every caller gets this array
-    return n, arcs, index
 
 
 def _add(x, y):
@@ -343,9 +327,11 @@ def _horner(coeffs: list, x) -> tuple:
 
 
 def phase_type_params(gen: Generator) -> PhaseTypeParams:
-    """Survival parameters (lambda, A) for a validated generator.
+    """Survival parameters (lambda, A) of a generator.
 
-    One path for every model, chains and N = 1 included.  A dense
+    One path for every model, chains and N = 1 included, with no
+    validation first: rates that break strong connectivity raise
+    NonErgodic or give a zero amplitude, as the end says.  A dense
     eigensolve gives start values and the checks that the spectrum is
     real and separated.  In 70 significant digits of ``decimal``
     arithmetic (``_EXTENDED``) each eigenvalue is then refined by Newton on
@@ -361,9 +347,6 @@ def phase_type_params(gen: Generator) -> PhaseTypeParams:
     is an eigenvalue.  A state that is merely unreachable leaves e_N
     positive and gets a zero amplitude.
     """
-    report = validate(gen)
-    if not report.s_equals_N:
-        raise ValueError("phase-type parameters require return state N")
     spec = spectrum(gen)
     if not spec.is_real_distinct:
         raise DegenerateSpectrum("spectrum is not real; no (lambda, A) form")

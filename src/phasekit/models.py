@@ -7,11 +7,12 @@ reversible unbranched chain of arbitrary length.  States are numbered
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WrongArity
+from .errors import PhasekitError, WrongArity
 
 # Arc lists for the N=3 catalog: (source, target, rate index), all 1-based.
 # The exit arc N -> N+1 is always last.
@@ -87,31 +88,68 @@ def arc_list(model: ModelId) -> list[tuple[int, int, int]]:
     return arcs
 
 
+@functools.lru_cache(maxsize=256)
+def arc_layout(batch: tuple) -> tuple[int, tuple, np.ndarray]:
+    """N, the arcs (i, j) of any model of ``batch``, 0-based, and for each
+    arc the index of its rate in every column, or one past the last rate
+    (a zero row of the batch) where the column's model lacks the arc.
+    Each model has at most one arc per pair of states."""
+    if not batch or any(model.n != batch[0].n for model in batch):
+        raise PhasekitError("a batch needs one or more models of one N")
+    rate_of = {model: {(src - 1, dst - 1): idx - 1
+                       for src, dst, idx in arc_list(model)}
+               for model in batch}
+    n = batch[0].n
+    arcs = tuple(sorted(set().union(*rate_of.values())))
+    index = np.array([[rate_of[model].get(arc, model.n_rates)
+                       for model in batch] for arc in arcs])
+    index.flags.writeable = False  # cached: every caller gets this array
+    return n, arcs, index
+
+
 @dataclass(frozen=True)
 class Generator:
-    """CTMC generator with absorbing observed state.
+    """A model and its rates.
 
-    Q is the full (N+1) x (N+1) rate matrix; Qtilde the transposed minor
-    driving the hidden-state probabilities.  The return state is stored
-    1-based, as in the model definitions.
+    The CTMC runs on the hidden states 1..N and the observed state N+1,
+    which is absorbing in ``Q``; each event returns it to state N at once.
+    ``Q``, the full (N+1) x (N+1) rate matrix, and ``Qtilde``, the
+    transposed hidden-state block that drives the hidden-state
+    probabilities, are built from the arc list each time they are read.
     """
 
     model: ModelId
     rates: np.ndarray
-    Q: np.ndarray
-    Qtilde: np.ndarray
-    N: int
-    return_state: int
-    has_nonpositive_rate: bool
+
+    @property
+    def N(self) -> int:
+        return self.model.n
 
     @property
     def exit_rate(self) -> float:
         """Rate of the exit arc N -> N+1 (the last rate in the layout)."""
         return float(self.rates[-1])
 
+    @property
+    def has_nonpositive_rate(self) -> bool:
+        return bool(np.any(self.rates <= 0.0))
+
+    @property
+    def Q(self) -> np.ndarray:
+        n, arcs, index = arc_layout((self.model,))
+        Q = np.zeros((n + 1, n + 1))
+        Q[tuple(np.array(arcs).T)] = self.rates[index[:, 0]]
+        Q[range(n), range(n)] = -Q[:n].sum(axis=1)
+        return Q
+
+    @property
+    def Qtilde(self) -> np.ndarray:
+        return self.Q[:self.N, :self.N].T.copy()
+
 
 def build_generator(model: ModelId, rates) -> Generator:
-    """Assemble Q and Qtilde from the model's arc list.
+    """The generator of ``model`` at ``rates``, one per arc of its arc
+    list.  Raises WrongArity unless there is one rate per arc.
 
     Nonpositive rates are accepted (inverse-solver outputs round-trip
     through here) but flagged via ``has_nonpositive_rate``.
@@ -120,84 +158,41 @@ def build_generator(model: ModelId, rates) -> Generator:
     if rates.shape != (model.n_rates,):
         raise WrongArity(
             f"{model} expects {model.n_rates} rates, got {rates.shape}")
-    n = model.n
-    Q = np.zeros((n + 1, n + 1))
-    for src, dst, idx in arc_list(model):
-        Q[src - 1, dst - 1] += rates[idx - 1]
-    for i in range(n):
-        Q[i, i] = -np.sum(Q[i, :i]) - np.sum(Q[i, i + 1:])
-    Qtilde = Q[:n, :n].T.copy()
-    return Generator(
-        model=model,
-        rates=rates,
-        Q=Q,
-        Qtilde=Qtilde,
-        N=n,
-        return_state=n,
-        has_nonpositive_rate=bool(np.any(rates <= 0.0)),
-    )
+    return Generator(model, rates)
 
 
 @dataclass
 class ValidationReport:
-    c1_ok: bool
-    c2_ok: bool
     strongly_connected: bool
-    s_equals_N: bool
-    messages: list[str] = field(default_factory=list)
+    messages: list[str]
 
     @property
     def ok(self) -> bool:
-        return (self.c1_ok and self.c2_ok and self.strongly_connected
-                and self.s_equals_N)
+        return self.strongly_connected
 
 
-def _reachable(adj: list[list[int]], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+def _reachable(pairs: list[tuple[int, int]], start: int) -> set[int]:
+    """States reachable from ``start`` along the arcs (i, j) of ``pairs``."""
+    seen, grown = set(), {start}
+    while grown != seen:
+        seen = grown
+        grown = seen | {j for i, j in pairs if i in seen}
     return seen
 
 
 def validate(gen: Generator) -> ValidationReport:
-    """Check the structural conditions required of an invertible model.
+    """Check that the rates leave the transition graph strongly connected.
 
-    C1: the observed state is reachable only from state N.  C2: there is a
-    single instantaneous return arc out of the observed state (absorbing
-    encoding plus a unique return state).  Strong connectivity is evaluated
-    on states 1..N+1 including the return arc.
+    The graph on states 1..N+1 has the arcs whose rates are nonzero and
+    the instantaneous return arc N+1 -> N.  Every arc list exits from
+    state N only and nothing leaves the observed state, so strong
+    connectivity is the one structural condition that rates can break.
     """
     n = gen.N
-    msgs = []
-    c1 = all(gen.Q[i, n] == 0.0 for i in range(n - 1))
-    if not c1:
-        msgs.append("observed state reachable from a state other than N")
-    c2 = bool(np.all(gen.Q[n, :] == 0.0)) and 1 <= gen.return_state <= n
-    if not c2:
-        msgs.append("observed-state row not absorbing or bad return state")
-
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for i in range(n):
-        for j in range(n + 1):
-            if i != j and gen.Q[i, j] != 0.0:
-                adj[i].append(j)
-    adj[n].append(gen.return_state - 1)  # instantaneous return
-    forward = _reachable(adj, 0)
-    radj: list[list[int]] = [[] for _ in range(n + 1)]
-    for v, ws in enumerate(adj):
-        for w in ws:
-            radj[w].append(v)
-    backward = _reachable(radj, 0)
-    strong = len(forward) == n + 1 and len(backward) == n + 1
-    if not strong:
-        msgs.append("transition graph not strongly connected")
-    s_is_n = gen.return_state == n
-    if not s_is_n:
-        msgs.append("return state differs from N")
-    return ValidationReport(c1, c2, strong, s_is_n, msgs)
-
+    pairs = [(src - 1, dst - 1) for src, dst, idx in arc_list(gen.model)
+             if gen.rates[idx - 1] != 0.0]
+    pairs.append((n, n - 1))
+    strong = (len(_reachable(pairs, 0)) == n + 1
+              and len(_reachable([(j, i) for i, j in pairs], 0)) == n + 1)
+    msgs = [] if strong else ["transition graph not strongly connected"]
+    return ValidationReport(strong, msgs)

@@ -123,7 +123,9 @@ def simulate_events(
     All walkers start in the return state; a walker finishes its event
     when it jumps into the absorbing state.  The simulation is vectorized
     over events and is deterministic for a fixed seed.  Raises
-    NonErgodic when a walker is still moving after ``MAX_JUMPS`` jumps.
+    NonErgodic, before any number is drawn, when a walker is expected to
+    take more than ``MAX_JUMPS`` jumps per event, and when a walker is
+    still moving after ``MAX_JUMPS`` jumps.
     """
     report = validate(gen)
     if not report.ok:
@@ -140,11 +142,18 @@ def simulate_events(
     np.fill_diagonal(probs[:, :n_states], 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         probs = probs / exit_rates[:, None]
+    # Expected visits to the hidden states per event, from the return
+    # state: one jump leaves each visit.
+    jumps = np.linalg.solve((np.eye(n_states) - probs[:, :n_states]).T,
+                            np.eye(n_states)[-1]).sum()
+    if jumps > MAX_JUMPS:
+        raise NonErgodic(f"a walker is expected to take {jumps:.3g} jumps "
+                         f"per event, more than {MAX_JUMPS}")
     cumprobs = np.cumsum(probs, axis=1)
     cumprobs[:, -1] = 1.0
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
-    state = np.full(n_events, gen.return_state - 1, dtype=np.intp)
+    state = np.full(n_events, n_states - 1, dtype=np.intp)
     gaps = np.zeros(n_events)
     active = np.arange(n_events)
     for _ in range(MAX_JUMPS):

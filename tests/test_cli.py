@@ -17,6 +17,7 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+import referencing
 
 from phasekit import cli, direct, inverse, models, rashomon
 from phasekit.cli import main
@@ -34,14 +35,26 @@ SCHEMAS = {
 
 
 @functools.lru_cache(maxsize=None)
+def schema_registry():
+    """Every shipped schema under its file name, each checked once, so
+    that a schema can refer to a part of another by its file name."""
+    schemas = {name: json.loads(
+        (resources.files("phasekit") / "schemas" / name).read_text())
+        for name in SCHEMAS.values()}
+    for schema in schemas.values():
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+    return referencing.Registry().with_resources(
+        (name, referencing.Resource.from_contents(schema))
+        for name, schema in schemas.items())
+
+
+@functools.lru_cache(maxsize=None)
 def validator(command):
-    """The validator of ``command``'s schema, itself checked once."""
-    schema = json.loads(
-        (resources.files("phasekit") / "schemas" / SCHEMAS[command])
-        .read_text())
+    """The validator of ``command``'s schema."""
+    registry = schema_registry()
+    schema = registry.contents(SCHEMAS[command])
     cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return cls(schema, registry=registry)
 
 
 def _not_json(token):
@@ -284,6 +297,21 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == (
             "PhasekitError")
 
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_stiff_rates_are_exit_2_at_once(self, command, tmp_path):
+        # Each walker would bounce on the 1e12 arc, about 4e11 jumps per
+        # event, so the simulation gives up before it draws anything
+        # instead of stepping until MAX_JUMPS.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "phasekit.cli", command, "--model", "M9",
+             "--rates", "1,2,1e12,4,5", "--n", "1000",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 2
+        assert json.loads(out.stderr)["error"] == "NonErgodic"
+
     def test_missing_file_is_exit_2(self, tmp_path):
         assert run(["fit", "--trace", tmp_path / "nope.csv",
                     "--components", 2]) == 2
@@ -423,6 +451,23 @@ class TestPipeline:
         del payload["variants"]
         with pytest.raises(jsonschema.ValidationError, match="'variants'"):
             check_artifact("pipeline", json.dumps(payload))
+
+    @pytest.mark.parametrize("part, field", [
+        ("variants", "deltas"), ("fit", "converged")])
+    def test_report_parts_are_validated(self, part, field, tmp_path):
+        # The variant report inside a pipeline report has the shape of
+        # the variants artifact, and the fit has its own fields.
+        out = tmp_path / "pipe.json"
+        assert run(["pipeline", "--model", "M9", "--rates", "1,2,3,4,5",
+                    "--n", 1000, "--seed", 3, "--restarts", 2,
+                    "--out", out]) == 0
+        payload = load(out)
+        del payload[part][field]
+        with pytest.raises(jsonschema.ValidationError) as exc:
+            check_artifact("pipeline", json.dumps(payload))
+        # ``variants`` may be null, so its error is one of the context's.
+        assert any(f"'{field}' is a required property" == err.message
+                   for err in [exc.value, *exc.value.context])
 
     def test_chain_pipeline_inverts_the_chain(self, tmp_path):
         out = tmp_path / "pipe.json"

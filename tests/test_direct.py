@@ -28,7 +28,7 @@ EPS = np.finfo(float).eps
 def expm_survival(gen, ts):
     """Absorption-based survival oracle via scipy's matrix exponential."""
     start = np.zeros(gen.N + 1)
-    start[gen.return_state - 1] = 1.0
+    start[gen.N - 1] = 1.0
     return np.array([
         1.0 - (start @ scipy.linalg.expm(gen.Q * t))[gen.N] for t in ts
     ])
@@ -302,6 +302,26 @@ class TestForwardAccuracy:
         np.testing.assert_allclose(p.A, amps, rtol=1e-4, atol=0.0)
         sol = inverse.invert_unbranched(8, p)
         np.testing.assert_allclose(sol.rates, k, rtol=1e-4, atol=0.0)
+
+    def test_small_eigenvalues_are_separated_by_their_own_scale(
+            self, monkeypatch):
+        # Chain8 whose two slowest eigenvalues, -2.8e-6 and -2.3e-8, are
+        # 125x apart but closer than 1e-8 times the fastest, -918.5: a
+        # separation test on max|lambda| called its spectrum degenerate.
+        k = [0.07207052774370573, 0.0003069683665824496, 918.5003716025361,
+             12.327964494353434, 0.001896644428794167, 0.9686089144632858,
+             0.0004259494571345617, 7.7239294602903295,
+             0.007133551891621116, 0.00020375649574642143,
+             0.0008354106925204636, 2.7675850818960033, 12.469380791091174,
+             0.03966479162206278, 14.048159726616552]
+        model = models.unbranched_chain(8)
+        p = direct.phase_type_params(models.build_generator(model, k))
+        monkeypatch.setattr(mp_reference, "DPS", 150)
+        lam, amps = mp_phase_type_params(model, k)
+        np.testing.assert_array_equal(p.lam, lam)
+        np.testing.assert_array_equal(p.A, amps)
+        sol = inverse.invert_unbranched(8, p)
+        np.testing.assert_allclose(sol.rates, k, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_chain_moments_match_extended_precision(self, n):

@@ -1,5 +1,7 @@
 """Model catalog and generator assembly tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,28 @@ class TestGenerator:
         gen = models.build_generator(models.M8, RATES)
         np.testing.assert_array_equal(gen.Qtilde, gen.Q[:3, :3].T)
 
+    @pytest.mark.parametrize("model", [
+        *(models.model_from_string(tag)
+          for tag in ("M2", "M3", "M4", "M8", "M9")),
+        *(models.unbranched_chain(n) for n in range(1, 9)),
+    ], ids=str)
+    def test_q_matches_arc_loop(self, model):
+        # Reference: one arc at a time, then each diagonal entry as minus
+        # the sums left and right of it.  The dense eigensolve starts
+        # from these bits.
+        rng = np.random.default_rng(list(str(model).encode()))
+        n = model.n
+        for _ in range(50):
+            k = 10.0 ** rng.uniform(-4.0, 4.0, size=model.n_rates)
+            q = np.zeros((n + 1, n + 1))
+            for src, dst, idx in models.arc_list(model):
+                q[src - 1, dst - 1] += k[idx - 1]
+            for i in range(n):
+                q[i, i] = -np.sum(q[i, :i]) - np.sum(q[i, i + 1:])
+            gen = models.build_generator(model, k)
+            np.testing.assert_array_equal(gen.Q, q)
+            np.testing.assert_array_equal(gen.Qtilde, q[:n, :n].T)
+
     def test_exit_rate(self):
         gen = models.build_generator(models.M2, RATES)
         assert gen.exit_rate == 5.0
@@ -107,3 +131,42 @@ class TestValidation:
         report = models.validate(gen)
         assert not report.ok
         assert any("connected" in msg for msg in report.messages)
+
+    @pytest.mark.parametrize("model", [
+        *(models.model_from_string(tag)
+          for tag in ("M2", "M3", "M4", "M8", "M9")),
+        *(models.unbranched_chain(n) for n in range(1, 9)),
+    ], ids=str)
+    def test_connectivity_matches_dense_rule(self, model):
+        # The report holds strong connectivity alone: every arc list exits
+        # from state N only and nothing leaves the observed state, so it
+        # is the one check that rates can fail.  Reference: reachability
+        # over the nonzero off-diagonal entries of the dense Q, plus the
+        # return arc N+1 -> N, both ways from state 1.
+        def dense_rule(gen):
+            q, n = gen.Q, gen.N
+            arcs = [(i, j) for i in range(n) for j in range(n + 1)
+                    if i != j and q[i, j] != 0.0] + [(n, n - 1)]
+            for pairs in (arcs, [(j, i) for i, j in arcs]):
+                seen, grown = set(), {0}
+                while grown != seen:
+                    seen = set(grown)
+                    grown |= {j for i, j in pairs if i in seen}
+                if len(seen) < n + 1:
+                    return False
+            return True
+
+        rng = np.random.default_rng(list(str(model).encode()))
+        outcomes = set()
+        for _ in range(200):
+            k = 10.0 ** rng.uniform(-2.0, 2.0, size=model.n_rates)
+            k[rng.choice(model.n_rates, size=rng.integers(3))] = 0.0
+            gen = models.build_generator(model, k)
+            report = models.validate(gen)
+            assert report.strongly_connected == dense_rule(gen), k
+            assert report.ok == report.strongly_connected
+            assert [f.name for f in dataclasses.fields(report)] == [
+                "strongly_connected", "messages"]
+            outcomes.add(report.ok)
+        assert outcomes == {True, False}
+

@@ -50,9 +50,26 @@ class TestSimulate:
         assert np.all(trace.gaps > 0.0)
 
     def test_walkers_left_after_max_jumps_raise(self, monkeypatch):
-        monkeypatch.setattr(stochastic, "MAX_JUMPS", 1)
-        with pytest.raises(NonErgodic, match="within 1 jumps"):
+        # 3.8 jumps per event are expected, so the loop starts, and some
+        # of the 100 walkers take more than 4.
+        monkeypatch.setattr(stochastic, "MAX_JUMPS", 4)
+        with pytest.raises(NonErgodic, match="within 4 jumps"):
             stochastic.simulate_events(m9_generator(), 100, seed=0)
+
+    @pytest.mark.parametrize("max_jumps, rates, expected", [
+        (1, [1.0, 2.0, 3.0, 4.0, 5.0], "3.8"),
+        (stochastic.MAX_JUMPS, [1.0, 2.0, 1e12, 4.0, 5.0], "4e\\+11"),
+    ], ids=["max-1", "stiff"])
+    def test_expected_jumps_over_max_raise_before_drawing(
+            self, monkeypatch, max_jumps, rates, expected):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a random number generator was made")
+
+        monkeypatch.setattr(stochastic, "MAX_JUMPS", max_jumps)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        gen = models.build_generator(models.M9, rates)
+        with pytest.raises(NonErgodic, match=f"take {expected} jumps"):
+            stochastic.simulate_events(gen, 1000, seed=0)
 
 
 class TestEmpiricalSurvival:
